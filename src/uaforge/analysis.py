@@ -14,18 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .congruences import (
-    CongruenceLattice,
-    congruence_lattice,
-    quotient_is_fsi,
-    quotient_is_si,
-)
+from .congruences import congruence_lattice, quotient_is_fsi, quotient_is_si
 from .core import (
     AlgebraError,
     FiniteAlgebra,
-    SIZE_GUARD,
-    SizeGuardError,
     all_subuniverses,
+    guard_size,
     quotient,
     subalgebra,
 )
@@ -59,14 +53,6 @@ class HomSet:
         return iter(self.maps)
 
 
-def _guard(*algs):
-    for a in algs:
-        if a.size > SIZE_GUARD:
-            raise SizeGuardError(
-                f"universe of size {a.size} exceeds the enumeration guard {SIZE_GUARD}"
-            )
-
-
 def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False) -> HomSet:
     """All homomorphisms A -> B, in deterministic order.
 
@@ -75,7 +61,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     """
     if kind not in ("all", "injective", "bijective"):
         raise AlgebraError(f"unknown hom kind {kind!r}")
-    _guard(A, B)
+    for alg in (A, B):
+        guard_size(alg.size, alg.name)
     if A.signature != B.signature:
         raise AlgebraError("homomorphisms need a common signature")
     injective = kind in ("injective", "bijective")
@@ -255,7 +242,6 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
     congruences of a quotient sub/theta correspond to the lattice interval
     above theta, so no quotient lattices are recomputed.
     """
-    _guard(A)
     entries: list[HSEntry] = []
     reps: list[FiniteAlgebra] = []
     for s in all_subuniverses(A):
@@ -381,7 +367,6 @@ def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]
     endomorphism of big that is the identity on A but moves some element of
     C - A (the second endomorphism of the pair is the identity map).
     """
-    _guard(big)
     ends = endomorphisms(big)
     witnesses: list[EpicWitness] = []
     all_ok = True
@@ -405,44 +390,6 @@ def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]
     return all_ok, witnesses
 
 
-def serialize_reports(reports) -> list[dict]:
-    """Report rows as JSON objects {check, instance, witness?, status}."""
-    out = []
-    for r in reports:
-        if isinstance(r, SpanReport):
-            row = {
-                "check": "amalgamation",
-                "instance": {
-                    "apex": r.span.apex,
-                    "left": r.span.left,
-                    "right": r.span.right,
-                    "f": list(r.span.f),
-                    "g": list(r.span.g),
-                },
-            }
-            if r.amalgam is not None:
-                row["witness"] = {
-                    "target": r.amalgam.target,
-                    "p": list(r.amalgam.p),
-                    "q": list(r.amalgam.q),
-                }
-        elif isinstance(r, EpicWitness):
-            row = {
-                "check": "epic-subalgebra",
-                "instance": {
-                    "subalgebra": list(r.subalgebra),
-                    "inner": list(r.inner),
-                },
-            }
-            if r.endo is not None:
-                row["witness"] = {"endo": list(r.endo), "moved": r.moved}
-        else:
-            raise AlgebraError(f"no JSON report form for {type(r).__name__}")
-        row["status"] = "pass" if r.ok else "fail"
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # order helpers and atom permutations
 
@@ -457,16 +404,6 @@ def is_chain(alg: FiniteAlgebra) -> bool:
         for a in range(alg.size)
         for b in range(alg.size)
     )
-
-
-def second_largest(alg: FiniteAlgebra) -> int | None:
-    """The unique maximum of the order with the top removed, if one exists."""
-    top = alg.const("one")
-    rest = [a for a in range(alg.size) if a != top]
-    maxima = [a for a in rest if all(not lattice_leq(alg, a, b) for b in rest if b != a)]
-    if len(maxima) == 1:
-        return maxima[0]
-    return None
 
 
 def atom_permutation_automorphism(alg: FiniteAlgebra, sigma) -> tuple[tuple[int, ...], bool]:

@@ -29,10 +29,11 @@ from .core import (
     SIZE_GUARD,
     SizeGuardError,
     Variable,
+    direct_product,
+    guard_size,
     make_algebra,
     quotient,
     reduct,
-    sg_closure,
     subalgebra,
 )
 from .logic import (
@@ -135,17 +136,15 @@ def build_sec2_C_mod_theta() -> FiniteAlgebra:
 # powerset-with-new-top algebras
 
 
-def _an_size(n: int) -> int:
-    return 2**n + 1
-
-
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Reject an atom count whose An is over the size guard."""
     if n < 0:
         raise AlgebraError("n must be non-negative")
-    if _an_size(n) > SIZE_GUARD:
-        raise SizeGuardError(
-            f"A{n} has {_an_size(n)} elements, over the enumeration guard {SIZE_GUARD}"
-        )
+    # From this n on, 2**n + 1 > SIZE_GUARD; say so without forming 2**n,
+    # which for an n taken from the command line can be gigabytes.
+    if n >= SIZE_GUARD.bit_length():
+        raise SizeGuardError(f"A{n} has 2^{n}+1 elements, over the size guard {SIZE_GUARD}")
+    guard_size(2**n + 1, f"A{n}")
 
 
 def _an_element_names(n: int) -> tuple[str, ...]:
@@ -164,7 +163,7 @@ def _an_element_names(n: int) -> tuple[str, ...]:
 
 def build_An(n: int) -> FiniteAlgebra:
     """Heyting algebra of subsets of n atoms with an extra top above e."""
-    _check_n(n)
+    check_n(n)
     top = 2**n
     full = top - 1
     size = top + 1
@@ -258,6 +257,7 @@ def build_phi(k: int, n: int) -> tuple[Formula, dict[int, str]]:
         raise AlgebraError("phi(k, n) needs n >= 3")
     if not 1 <= k <= n - 1:
         raise AlgebraError("phi(k, n) needs 1 <= k <= n-1")
+    check_n(n)
     x, y = Variable(0), Variable(1)
 
     def z(m, i):  # m in 1..k, i in 1..n+1
@@ -356,8 +356,7 @@ def build_Bn(n: int) -> FiniteAlgebra:
 
 
 def trivial_algebra(sig: Signature, name="trivial") -> FiniteAlgebra:
-    tables = {sym: (0,) * (1**arity) for sym, arity in sig.symbols}
-    return make_algebra(name, sig, 1, tables, ("*",))
+    return direct_product([], sig, name=name)
 
 
 def heyting_reduct(alg: FiniteAlgebra, name=None) -> FiniteAlgebra:
@@ -378,22 +377,29 @@ _FIXED = {
     "sec2.C-mod-theta": build_sec2_C_mod_theta,
 }
 
+# parameterized ids: base -> (parameter names, builder)
+_PARAMETERIZED = {
+    "An": (("n",), build_An),
+    "Bn": (("n",), build_Bn),
+    "phi": (("k", "n"), build_phi),
+}
+
 _memo: dict[str, object] = {}
 
 
-def _parse_query(query: str, allowed) -> dict[str, int]:
-    out = {}
-    for piece in query.split("&"):
-        if "=" not in piece:
-            raise AlgebraError(f"malformed catalog parameter {piece!r}")
-        key, _, val = piece.partition("=")
-        if key not in allowed:
-            raise AlgebraError(f"unknown catalog parameter {key!r}")
+def parse_id(ident: str) -> tuple[str, dict[str, int]]:
+    """Split an id like "phi?k=1&n=3" into its base and integer parameters."""
+    base, _, query = ident.partition("?")
+    params = {}
+    for piece in query.split("&") if query else ():
+        key, eq, val = piece.partition("=")
+        if not eq:
+            raise AlgebraError(f"malformed parameter {piece!r} in {ident!r}")
         try:
-            out[key] = int(val)
+            params[key] = int(val)
         except ValueError:
             raise AlgebraError(f"parameter {key!r} needs an integer, got {val!r}") from None
-    return out
+    return base, params
 
 
 def catalog_ids() -> list[str]:
@@ -404,22 +410,14 @@ def build(catalog_id: str):
     """Resolve a catalog id like "sec2.A", "An?n=3" or "phi?k=1&n=3"."""
     if catalog_id in _memo:
         return _memo[catalog_id]
-    base, _, query = catalog_id.partition("?")
-    if base in _FIXED:
-        if query:
-            raise AlgebraError(f"catalog id {base!r} takes no parameters")
-        obj = _FIXED[base]()
-    elif base in ("An", "Bn"):
-        params = _parse_query(query, {"n"}) if query else {}
-        if "n" not in params:
-            raise AlgebraError(f"catalog id {base!r} needs a parameter n")
-        obj = build_An(params["n"]) if base == "An" else build_Bn(params["n"])
-    elif base == "phi":
-        params = _parse_query(query, {"k", "n"}) if query else {}
-        if "k" not in params or "n" not in params:
-            raise AlgebraError("catalog id 'phi' needs parameters k and n")
-        obj = build_phi(params["k"], params["n"])
-    else:
+    base, params = parse_id(catalog_id)
+    names, builder = _PARAMETERIZED.get(base, ((), _FIXED.get(base)))
+    if builder is None:
         raise AlgebraError(f"unknown catalog id {catalog_id!r}")
+    if sorted(params) != list(names):
+        raise AlgebraError(
+            f"catalog id {base!r} takes parameters {list(names)}, got {sorted(params)}"
+        )
+    obj = builder(*(params[key] for key in names))
     _memo[catalog_id] = obj
     return obj

@@ -38,7 +38,7 @@ from .congruences import (
     monolith,
     principal_congruence,
 )
-from .core import AlgebraError, all_subuniverses, quotient, reduct, sg_closure, subalgebra
+from .core import AlgebraError, all_subuniverses, quotient, sg_closure, subalgebra
 from .logic import (
     check_functional,
     eval_exists_decomposed,
@@ -560,25 +560,13 @@ def _noneq(ws, n):
 # running
 
 
-def _parse_claim_id(claim_id: str, default_n: int) -> tuple[str, int]:
-    base, _, query = claim_id.partition("?")
-    n = default_n
-    if query:
-        for piece in query.split("&"):
-            key, _, val = piece.partition("=")
-            if key != "n":
-                raise AlgebraError(f"unknown claim parameter {key!r}")
-            try:
-                n = int(val)
-            except ValueError:
-                raise AlgebraError(f"claim parameter n needs an integer, got {val!r}") from None
-    return base, n
-
-
 def run_claim(claim_id: str, n: int = 3, workspace: Workspace | None = None) -> ClaimResult:
-    base, n = _parse_claim_id(claim_id, n)
+    base, params = catalog.parse_id(claim_id)
+    if set(params) - {"n"}:
+        raise AlgebraError(f"unknown claim parameter in {claim_id!r}")
     if base not in _REGISTRY:
         raise AlgebraError(f"unknown claim id {claim_id!r}")
+    n = params.get("n", n)
     statement, fn = _REGISTRY[base]
     ws = workspace if workspace is not None else Workspace()
     start = time.perf_counter()
@@ -591,14 +579,9 @@ def run_claim(claim_id: str, n: int = 3, workspace: Workspace | None = None) -> 
     return ClaimResult(base, statement, status, evidence, elapsed)
 
 
-def run_all(prefix: str | None = None, n: int = 3, workspace: Workspace | None = None) -> list[ClaimResult]:
+def run_all(n: int = 3, workspace: Workspace | None = None) -> list[ClaimResult]:
     ws = workspace if workspace is not None else Workspace()
-    out = []
-    for claim_id in _REGISTRY:
-        if prefix and not claim_id.startswith(prefix):
-            continue
-        out.append(run_claim(claim_id, n=n, workspace=ws))
-    return out
+    return [run_claim(claim_id, n=n, workspace=ws) for claim_id in _REGISTRY]
 
 
 def report_dict(results) -> dict:

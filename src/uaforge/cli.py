@@ -223,26 +223,15 @@ def homs(source, target, kind):
 def check(claim_id, run_all_flag, deep, n_opt, as_json):
     """Run one claim or the whole registry; exit 0 only if everything passes."""
     n = n_opt if n_opt is not None else (4 if deep else 3)
-    if n > 4:
-        raise click.UsageError(
-            f"n={n} is rejected: A{n} has {2 ** n + 1} elements, and the analysis "
-            "routines enumerate subuniverses only up to the size guard of 24"
-        )
-    if n < 3:
-        raise click.UsageError("the parameterized claims need n >= 3")
     if claim_id and run_all_flag:
         raise click.UsageError("give a claim id or --all, not both")
     try:
-        if claim_id:
-            base, claim_n = claims._parse_claim_id(claim_id, n)
-            if claim_n > 4 or claim_n < 3:
-                raise click.UsageError(
-                    f"claim parameter n={claim_n} outside the supported range 3..4 "
-                    "(size guard 24)"
-                )
-            results = [claims.run_claim(claim_id, n=n)]
-        else:
-            results = claims.run_all(n=n)
+        run_n = catalog.parse_id(claim_id)[1].get("n", n) if claim_id else n
+        for value in (n, run_n):
+            if value < 3:
+                raise AlgebraError("the parameterized claims need n >= 3")
+            catalog.check_n(value)
+        results = [claims.run_claim(claim_id, n=n)] if claim_id else claims.run_all(n=n)
     except AlgebraError as exc:
         raise click.UsageError(str(exc))
     if as_json:
@@ -251,7 +240,7 @@ def check(claim_id, run_all_flag, deep, n_opt, as_json):
         for r in results:
             click.echo(f"{r.status.upper():4} {r.id:15} {r.elapsed_ms:7d} ms  {r.evidence}")
         failed = [r for r in results if r.status != "pass"]
-        click.echo(f"{len(results) - len(failed)}/{len(results)} claims passed (n={n})")
+        click.echo(f"{len(results) - len(failed)}/{len(results)} claims passed (n={run_n})")
     sys.exit(0 if all(r.status == "pass" for r in results) else 1)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .core import FiniteAlgebra, SIZE_GUARD, SizeGuardError
+from .core import FiniteAlgebra, guard_size
 from .partitions import Partition, _canonical, _find
 
 
@@ -111,10 +111,7 @@ class CongruenceLattice:
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     """All congruences: identity plus the join-closure of the principal ones."""
-    if alg.size > SIZE_GUARD:
-        raise SizeGuardError(
-            f"universe of size {alg.size} exceeds the enumeration guard {SIZE_GUARD}"
-        )
+    guard_size(alg.size, alg.name)
     size = alg.size
     congs = {Partition.identity(size)}
     principals = set()

@@ -50,6 +50,12 @@ class UnassignedVariableError(AlgebraError):
     pass
 
 
+def guard_size(size: int, name: str) -> None:
+    """Refuse exhaustive enumeration over a universe larger than SIZE_GUARD."""
+    if size > SIZE_GUARD:
+        raise SizeGuardError(f"{name} has {size} elements, over the size guard {SIZE_GUARD}")
+
+
 @dataclass(frozen=True)
 class Signature:
     """Ordered list of (symbol, arity) pairs with unique symbols."""
@@ -219,7 +225,6 @@ def eval_term(alg: FiniteAlgebra, t: Term, env) -> int:
 @dataclass(frozen=True)
 class SubuniverseResult:
     elements: tuple[int, ...]
-    closed: bool = True
 
 
 def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
@@ -313,10 +318,7 @@ def all_subuniverses(alg: FiniteAlgebra) -> list[SubuniverseResult]:
     closing S + {x} for x in T-S stays inside T and grows, so induction on
     size reaches T.  Results are sorted by (size, elements).
     """
-    if alg.size > SIZE_GUARD:
-        raise SizeGuardError(
-            f"universe of size {alg.size} exceeds the enumeration guard {SIZE_GUARD}"
-        )
+    guard_size(alg.size, alg.name)
     base = frozenset(sg_closure(alg).elements)
     known = {base}
     frontier = [base]

@@ -43,6 +43,7 @@ from .core import (
     Variable,
     eval_term,
 )
+from .partitions import _find
 
 # ---------------------------------------------------------------------------
 # formula AST
@@ -115,21 +116,6 @@ def _formula_vars_ordered(f: Formula, out: list[int]) -> None:
         _formula_vars_ordered(f.body, out)
     else:
         raise TypeError(f"not a formula: {f!r}")
-
-
-# formula objects are immutable; pin them so id-keyed memoization stays valid
-_VARS_CACHE: dict[int, tuple[Formula, frozenset[int]]] = {}
-
-
-def formula_variables(f: Formula) -> frozenset[int]:
-    hit = _VARS_CACHE.get(id(f))
-    if hit is not None and hit[0] is f:
-        return hit[1]
-    out: list[int] = []
-    _formula_vars_ordered(f, out)
-    fs = frozenset(out)
-    _VARS_CACHE[id(f)] = (f, fs)
-    return fs
 
 
 def free_variables(f: Formula) -> frozenset[int]:
@@ -313,72 +299,68 @@ def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None, cache=None)
         return _eval(alg, f, env)
     for v in f.vars:
         env.pop(v, None)
+    # one walk per conjunct yields its variable set and the binding order
     order: dict[int, int] = {}
     bound = set(f.vars)
-    walk: list[int] = []
+    parts: list[tuple[Formula, frozenset[int]]] = []
     for c in conjuncts:
+        walk: list[int] = []
         _formula_vars_ordered(c, walk)
-    for v in walk:
-        if v in bound and v not in order:
-            order[v] = len(order)
+        parts.append((c, frozenset(walk)))
+        for v in walk:
+            if v in bound and v not in order:
+                order[v] = len(order)
     # bound variables that never occur impose no constraint
     if cache is None:
         cache = {}
-    return _solve(alg, conjuncts, frozenset(order), env, order, cache)
+    return _solve(alg, parts, frozenset(order), env, order, cache)
 
 
-def _solve(alg, conjuncts, unassigned, env, order, cache):
-    pending: list[tuple[Formula, frozenset[int]]] = []
-    for c in conjuncts:
-        ub = formula_variables(c) & unassigned
+def _solve(alg, parts, unassigned, env, order, cache):
+    pending: list[tuple[Formula, frozenset[int], frozenset[int]]] = []
+    for c, cv in parts:
+        ub = cv & unassigned
         if not ub:
             if not _eval(alg, c, env):
                 return False
         else:
-            pending.append((c, ub))
+            pending.append((c, cv, ub))
     if not pending:
         return True
     # connected components of the co-occurrence graph on unassigned variables
     parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for _c, ub in pending:
+    for _c, _cv, ub in pending:
         it = iter(ub)
         first = next(it)
         parent.setdefault(first, first)
-        r0 = find(first)
+        r0 = _find(parent, first)
         for v in it:
             parent.setdefault(v, v)
-            rv = find(v)
+            rv = _find(parent, v)
             if rv != r0:
                 parent[rv] = r0
-    comps: dict[int, tuple[list[Formula], set[int]]] = {}
-    for c, ub in pending:
-        root = find(next(iter(ub)))
+    comps: dict[int, tuple[list, set[int]]] = {}
+    for c, cv, ub in pending:
+        root = _find(parent, next(iter(ub)))
         entry = comps.setdefault(root, ([], set()))
-        entry[0].append(c)
+        entry[0].append((c, cv))
         entry[1].update(ub)
-    for conjs, comp_vars in comps.values():
-        if not _solve_component(alg, conjs, frozenset(comp_vars), env, order, cache):
+    for comp_parts, comp_vars in comps.values():
+        if not _solve_component(alg, comp_parts, frozenset(comp_vars), env, order, cache):
             return False
     return True
 
 
-def _component_key(conjs, comp_vars, env):
+def _component_key(parts, comp_vars, env):
     fixed = set()
-    for c in conjs:
-        fixed |= formula_variables(c)
+    for _c, cv in parts:
+        fixed |= cv
     fixed -= comp_vars
     try:
         frame = tuple((v, env[v]) for v in sorted(fixed))
     except KeyError as exc:
         raise UnassignedVariableError(f"variable v{exc.args[0]} unassigned") from None
-    return (tuple(id(c) for c in conjs), frame)
+    return (tuple(id(c) for c, _cv in parts), frame)
 
 
 def _unary_domain(alg, c, v, env):
@@ -388,22 +370,22 @@ def _unary_domain(alg, c, v, env):
     return frozenset(int(x) for x in np.nonzero(mask)[0])
 
 
-def _solve_component(alg, conjs, comp_vars, env, order, cache):
-    key = _component_key(conjs, comp_vars, env)
+def _solve_component(alg, parts, comp_vars, env, order, cache):
+    key = _component_key(parts, comp_vars, env)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    result = _solve_component_inner(alg, conjs, comp_vars, env, order, cache)
+    result = _solve_component_inner(alg, parts, comp_vars, env, order, cache)
     cache[key] = result
     return result
 
 
-def _solve_component_inner(alg, conjs, comp_vars, env, order, cache):
+def _solve_component_inner(alg, parts, comp_vars, env, order, cache):
     size = alg.size
     domains: dict[int, frozenset[int] | None] = {v: None for v in comp_vars}
     residual: list[Formula] = []
-    for c in conjs:
-        ub = formula_variables(c) & comp_vars
+    for c, cv in parts:
+        ub = cv & comp_vars
         if len(ub) == 1:
             (v,) = ub
             dom = _unary_domain(alg, c, v, env)
@@ -421,7 +403,7 @@ def _solve_component_inner(alg, conjs, comp_vars, env, order, cache):
         for v, val in forced:
             env[v] = val
         try:
-            return _solve(alg, conjs, comp_vars - {v for v, _ in forced}, env, order, cache)
+            return _solve(alg, parts, comp_vars - {v for v, _ in forced}, env, order, cache)
         finally:
             for v, _ in forced:
                 del env[v]
@@ -442,8 +424,6 @@ def _solve_component_inner(alg, conjs, comp_vars, env, order, cache):
         mask = True
         for c in residual:
             mask = np.logical_and(mask, eval_formula_batch(alg, c, batch_env))
-            if mask is False:
-                return False
         return bool(np.any(mask))
     # condition on the earliest-occurring variable and re-split
     v = min(comp_vars, key=order.get)
@@ -451,7 +431,7 @@ def _solve_component_inner(alg, conjs, comp_vars, env, order, cache):
     for val in sorted(domains[v]):
         env[v] = val
         try:
-            if _solve(alg, conjs, rest, env, order, cache):
+            if _solve(alg, parts, rest, env, order, cache):
                 return True
         finally:
             del env[v]

@@ -11,6 +11,7 @@ from uaforge.catalog import (
     build_An,
     build_phi,
     catalog_ids,
+    check_n,
     expected_phi_value,
     heyting_reduct,
     pp_expand,
@@ -178,9 +179,19 @@ def test_build_phi_shape():
 
 
 def test_build_phi_validation():
-    for k, n in ((0, 3), (3, 3), (1, 2), (-1, 3)):
+    for k, n in ((0, 3), (3, 3), (1, 2), (-1, 3), (1, 5), (1, 30)):
         with pytest.raises(AlgebraError):
             build_phi(k, n)
+
+
+def test_check_n_bounds():
+    for n in range(5):
+        check_n(n)
+    with pytest.raises(AlgebraError):
+        check_n(-1)
+    for n in (5, 20000, 10**11):  # the last would need gigabytes to form 2**n
+        with pytest.raises(SizeGuardError, match="size guard"):
+            check_n(n)
 
 
 def test_phi_induces_the_expected_functions():

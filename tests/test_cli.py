@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -60,6 +61,12 @@ def test_build_unknown_id(runner):
     res = runner.invoke(main, ["build", "nope"])
     assert res.exit_code == 2
     assert "unknown catalog id" in res.output
+
+    for ident in ("phi?k=1&n=30", "An?n=20000"):
+        big = runner.invoke(main, ["build", ident])
+        assert big.exit_code == 2, ident
+        assert "size guard" in big.output
+        assert "Traceback" not in big.output
 
 
 def test_sg(runner, files):
@@ -200,6 +207,19 @@ def test_check_rejects_bad_requests(runner):
     res5 = runner.invoke(main, ["check", "S3.HEYTING?n=9"])
     assert res5.exit_code == 2
 
+    # both the --n value and the claim's own n are checked, and a huge n is
+    # refused without a traceback
+    for args in (
+        ["check", "--n", "5", "S3.HEYTING?n=3"],
+        ["check", "--n", "2", "S3.HEYTING?n=3"],
+        ["check", "S3.HEYTING?n=2"],
+        ["check", "S3.HEYTING?n=20000"],
+        ["check", "--n", "20000"],
+    ):
+        res6 = runner.invoke(main, args)
+        assert res6.exit_code == 2, args
+        assert "Traceback" not in res6.output
+
 
 def test_check_all(runner):
     res = runner.invoke(main, ["check", "--all"])
@@ -207,3 +227,8 @@ def test_check_all(runner):
     lines = res.output.strip().splitlines()
     assert lines[-1] == "23/23 claims passed (n=3)"
     assert len([l for l in lines if l.startswith("PASS")]) == 23
+    # every evidence string matches the one the benchmark gates on
+    expected_file = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(expected_file.read_text())["registry-n3"]
+    got = {l.split()[1]: l.split(" ms  ", 1)[1] for l in lines[:-1]}
+    assert got == expected

@@ -32,7 +32,6 @@ from uaforge.logic import (
     eval_term_batch,
     format_formula,
     format_term,
-    formula_variables,
     free_variables,
     induced_partial_function,
     is_pp,
@@ -118,7 +117,6 @@ def any_formulas(draw, max_var=3, depth=2):
 
 def test_variable_sets():
     f = Exists((2,), And((Eq(Variable(0), Variable(2)), Eq(Variable(1), Variable(1)))))
-    assert formula_variables(f) == frozenset({0, 1, 2})
     assert free_variables(f) == frozenset({0, 1})
     assert is_pp(f)
     assert not is_pp(Not(Eq(Variable(0), Variable(0))))
