@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from itertools import permutations, product
 
+import numpy as np
+
 from . import catalog
 from .analysis import (
     atom_permutation_automorphism,
@@ -41,10 +43,10 @@ from .congruences import (
 from .core import AlgebraError, all_subuniverses, quotient, sg_closure, subalgebra
 from .logic import (
     check_functional,
-    eval_exists_decomposed,
     eval_formula,
     induced_partial_function,
     is_pp,
+    project_exists,
 )
 from .partitions import Partition
 
@@ -53,7 +55,7 @@ from .partitions import Partition
 class ClaimResult:
     id: str
     statement: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | error (the check raised)
     evidence: str
     elapsed_ms: int
 
@@ -93,20 +95,16 @@ class Workspace:
 
     def fkn(self, k, n):
         return self.get(
-            ("fkn", k, n),
-            lambda: induced_partial_function(
-                self.an(n), self.phi(k, n), 1, cache=self.phi_cache(k, n)
-            ),
+            ("fkn", k, n), lambda: induced_partial_function(self.an(n), self.phi(k, n), 1)
         )
 
     def phi_relation(self, k, n) -> frozenset:
         def scan():
             alg, f, cache = self.an(n), self.phi(k, n), self.phi_cache(k, n)
             return frozenset(
-                (a, b)
+                (a, int(b))
                 for a in range(alg.size)
-                for b in range(alg.size)
-                if eval_exists_decomposed(alg, f, {0: a, 1: b}, cache)
+                for b in np.flatnonzero(project_exists(alg, f, (1,), {0: a}, cache))
             )
 
         return self.get(("phi-rel", k, n), scan)
@@ -575,6 +573,8 @@ def run_claim(claim_id: str, n: int = 3, workspace: Workspace | None = None) -> 
         status = "pass" if passed else "fail"
     except AlgebraError as exc:
         status, evidence = "fail", f"error: {exc}"
+    except Exception as exc:  # a crashing check is reported; the other claims still run
+        status, evidence = "error", f"{type(exc).__name__}: {exc}"
     elapsed = int((time.perf_counter() - start) * 1000)
     return ClaimResult(base, statement, status, evidence, elapsed)
 
@@ -589,6 +589,6 @@ def report_dict(results) -> dict:
         "claims": [r.to_dict() for r in results],
         "summary": {
             "pass": sum(1 for r in results if r.status == "pass"),
-            "fail": sum(1 for r in results if r.status == "fail"),
+            "fail": sum(1 for r in results if r.status != "pass"),
         },
     }

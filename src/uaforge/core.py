@@ -63,22 +63,27 @@ class Signature:
     symbols: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        seen = set()
+        arities: dict[str, int] = {}
         for name, arity in self.symbols:
-            if name in seen:
+            if name in arities:
                 raise AlgebraError(f"duplicate symbol {name!r}")
+            if type(arity) is not int:  # bool, float and str are not arities
+                raise AlgebraError(f"arity of {name!r} must be an integer, got {arity!r}")
             if arity < 0:
                 raise AlgebraError(f"negative arity for {name!r}")
-            seen.add(name)
+            arities[name] = arity
+        # symbol -> arity lookup for the evaluators; not a field, so equality
+        # and hashing still see only the symbols tuple
+        object.__setattr__(self, "_arities", arities)
 
     def arity(self, name: str) -> int:
-        for sym, arity in self.symbols:
-            if sym == name:
-                return arity
-        raise UnknownSymbolError(f"unknown operation symbol {name!r}")
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise UnknownSymbolError(f"unknown operation symbol {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return any(sym == name for sym, _ in self.symbols)
+        return name in self._arities
 
     def names(self) -> tuple[str, ...]:
         return tuple(sym for sym, _ in self.symbols)
@@ -138,6 +143,8 @@ class FiniteAlgebra:
     element_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if type(self.size) is not int:
+            raise AlgebraError(f"size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise AlgebraError("universe must be non-empty")
         names = set(self.signature.names())
@@ -147,13 +154,15 @@ class FiniteAlgebra:
             )
         for sym, arity in self.signature.symbols:
             table = self.tables[sym]
-            if len(table) != self.size**arity:
+            # an arity from a file can be huge: rule it out before forming size**arity
+            huge = self.size > 1 and arity > len(table).bit_length()
+            if huge or len(table) != self.size**arity:
                 raise AlgebraError(
-                    f"table for {sym!r} has length {len(table)}, expected {self.size ** arity}"
+                    f"table for {sym!r} has length {len(table)}, expected {self.size}^{arity}"
                 )
             for v in table:
-                if not 0 <= v < self.size:
-                    raise AlgebraError(f"table entry {v} for {sym!r} out of range")
+                if type(v) is not int or not 0 <= v < self.size:  # not bool, float, str
+                    raise AlgebraError(f"table entry {v!r} for {sym!r} is not an element")
         if self.element_names is not None and len(self.element_names) != self.size:
             raise AlgebraError("element_names length does not match size")
 
@@ -487,8 +496,12 @@ def algebra_from_dict(data: dict) -> FiniteAlgebra:
         ops = data["operations"]
     except (KeyError, TypeError) as exc:
         raise AlgebraError(f"malformed algebra document: missing {exc}") from None
-    if not isinstance(size, int):
+    if not isinstance(name, str):
+        raise AlgebraError("name must be a string")
+    if type(size) is not int:
         raise AlgebraError("size must be an integer")
+    if not isinstance(ops, list):
+        raise AlgebraError("operations must be a list")
     symbols = []
     tables = {}
     for entry in ops:
@@ -496,9 +509,15 @@ def algebra_from_dict(data: dict) -> FiniteAlgebra:
             sym, arity, table = entry["symbol"], entry["arity"], entry["table"]
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed operation entry: missing {exc}") from None
+        if not isinstance(sym, str) or not isinstance(table, list):
+            raise AlgebraError("an operation needs a string symbol and a list table")
         symbols.append((sym, arity))
         tables[sym] = tuple(table)
     element_names = data.get("elements")
+    if element_names is not None and not (
+        isinstance(element_names, list) and all(isinstance(e, str) for e in element_names)
+    ):
+        raise AlgebraError("elements must be a list of strings")
     return make_algebra(name, Signature(tuple(symbols)), size, tables, element_names)
 
 

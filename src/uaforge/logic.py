@@ -17,11 +17,16 @@ the algebra's operation symbols first; anything else is a variable.  Free
 variables are numbered 0,1,.. in order of first use, bound variables follow
 in binder order.
 
-Two evaluation routes are provided: a plain recursive evaluator, and a
-decomposed evaluator for existentially quantified conjunctions that splits
-the bound variables into connected components of the co-occurrence graph,
-enumerates components as vectorized batches, and caches component results
-keyed by the frame of values shared with the outside.
+eval_formula is the reference evaluator: quantifiers are nested loops.  The
+pp solver (project_exists, eval_exists_decomposed) compiles an existential
+conjunction of equations once into a plan.  An equation over one bound
+variable cuts that variable's domain.  An equation v = t with v bound and
+not in t defines v, which is then computed from t instead of enumerated.
+Every other equation is a boolean factor over a sparse numpy grid of its
+variables' domains.  Bound variables are eliminated smallest step first
+(bucket elimination): a step ands the factors that mention its variable and
+projects out every variable needed nowhere else.  A step over BATCH_LIMIT
+cells is sliced along one variable.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,6 @@ from .core import (
     Variable,
     eval_term,
 )
-from .partitions import _find
 
 # ---------------------------------------------------------------------------
 # formula AST
@@ -145,18 +150,6 @@ def is_pp(f: Formula) -> bool:
         return all(is_pp(p) for p in f.parts)
     if isinstance(f, Exists):
         return is_pp(f.body)
-    return False
-
-
-def _has_quantifier(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return True
-    if isinstance(f, (And, Or)):
-        return any(_has_quantifier(p) for p in f.parts)
-    if isinstance(f, Implies):
-        return _has_quantifier(f.left) or _has_quantifier(f.right)
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
     return False
 
 
@@ -274,168 +267,179 @@ def eval_formula_batch(alg: FiniteAlgebra, f: Formula, env):
 
 
 # ---------------------------------------------------------------------------
-# decomposed evaluation of existential conjunctions
+# the pp solver
 
-BATCH_LIMIT = 1 << 20
+BATCH_LIMIT = 1 << 20  # the largest array, in cells, the solver builds
 
 
-def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None, cache=None) -> bool:
-    """Equivalent to eval_formula, fast on exists-over-conjunction formulas.
+class _Plan(NamedTuple):
+    variables: tuple  # the bound variables that occur, then the kept ones
+    kept: tuple
+    ground: tuple  # conjuncts over free variables only
+    unary: tuple  # (v, conjunct): cuts the domain of v
+    factors: tuple  # (scope, conjunct)
+    definitions: dict  # v -> (term, the term's scope)
 
-    Free variables act as constants.  Bound variables are split into
-    connected components of the conjunct co-occurrence graph; components are
-    enumerated as vectorized batches when small enough, otherwise conditioned
-    on one variable at a time (in order of first occurrence), re-splitting
-    after every assignment.  A caller-supplied cache dict memoizes component
-    results; a cache must only be reused with the same algebra and formula.
 
-    Falls back to the reference evaluator when the shape does not fit.
-    """
-    env = _normalize_env(env)
-    if not isinstance(f, Exists):
-        return _eval(alg, f, env)
-    conjuncts = _flatten_and(f.body)
-    if any(_has_quantifier(c) for c in conjuncts):
-        return _eval(alg, f, env)
-    for v in f.vars:
-        env.pop(v, None)
-    # one walk per conjunct yields its variable set and the binding order
-    order: dict[int, int] = {}
-    bound = set(f.vars)
-    parts: list[tuple[Formula, frozenset[int]]] = []
+def _define(c: Eq, walk: list[int], scope, definitions: dict) -> bool:
+    """Record c as a definition v = t when v is a solver variable that occurs
+    once in c and that t does not come to depend on through other definitions."""
+    for side, term in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+        v = side.index if isinstance(side, Variable) else None
+        if v not in scope or v in definitions or walk.count(v) > 1:
+            continue
+        reach = [u for u in scope if u != v]
+        for u in reach:  # grows while it is read: the variables t depends on
+            if u in definitions:
+                reach.extend(w for w in definitions[u][1] if w not in reach)
+        if v not in reach:
+            definitions[v] = (term, tuple(u for u in scope if u != v))
+            return True
+    return False
+
+
+def _compile(f: Formula, kept: tuple) -> _Plan | None:
+    """The plan of an existential conjunction of equations; None for any other formula."""
+    conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
+    if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
+        return None
+    kept = tuple(v for v in kept if v not in f.vars)
+    solver_vars = set(f.vars) | set(kept)
+    occurring: dict[int, None] = {}
+    ground, unary, factors, definitions = [], [], [], {}
     for c in conjuncts:
         walk: list[int] = []
         _formula_vars_ordered(c, walk)
-        parts.append((c, frozenset(walk)))
-        for v in walk:
-            if v in bound and v not in order:
-                order[v] = len(order)
-    # bound variables that never occur impose no constraint
-    if cache is None:
-        cache = {}
-    return _solve(alg, parts, frozenset(order), env, order, cache)
+        scope = tuple(dict.fromkeys(v for v in walk if v in solver_vars))
+        occurring.update(dict.fromkeys(scope))
+        if not scope:
+            ground.append(c)
+        elif len(scope) == 1:
+            unary.append((scope[0], c))
+        elif not _define(c, walk, scope, definitions):
+            factors.append((scope, c))
+    variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
+    return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions)
 
 
-def _solve(alg, parts, unassigned, env, order, cache):
-    pending: list[tuple[Formula, frozenset[int], frozenset[int]]] = []
-    for c, cv in parts:
-        ub = cv & unassigned
-        if not ub:
-            if not _eval(alg, c, env):
-                return False
+def _step(x, factors, definitions, kept):
+    """The factors and definitions touching x (all when x is None), the grid
+    variables, and the variables still needed elsewhere, which the step keeps."""
+    fs = [fa for fa in factors if x is None or x in fa[0]]
+    ds = {v: d for v, d in definitions.items() if x is None or x == v or x in d[1]}
+    scope = dict.fromkeys(kept if x is None else (x,))
+    for vs in [s for s, _c in fs] + [(v, *uses) for v, (_t, uses) in ds.items()]:
+        scope.update(dict.fromkeys(vs))
+    elsewhere = set(kept).union(
+        *(s for s, _c in factors if x not in s),
+        *((v, *d[1]) for v, d in definitions.items() if v not in ds),
+    )
+    out = kept if x is None else tuple(v for v in scope if v in elsewhere)
+    return fs, ds, tuple(v for v in scope if v not in ds), out
+
+
+def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
+    """Set result (over out) at each projection of a grid cell that satisfies
+    the step; a grid over BATCH_LIMIT cells is cut into slices along one axis."""
+    shape = tuple(len(values[v]) for v in grid)
+    if np.prod(shape, dtype=float) > BATCH_LIMIT:
+        v = max(grid, key=lambda u: len(values[u]))
+        for i in range(len(values[v])):
+            _run_step(alg, env, fs, ds, grid, out, {**values, v: values[v][i : i + 1]}, dom, result)
+        return
+    benv = dict(env)
+    benv.update(zip(grid, np.meshgrid(*(values[v] for v in grid), indexing="ij", sparse=True)))
+    mask = np.True_
+    pending = dict(ds)
+    while pending:  # definitions in dependency order; each value must be in its domain
+        for v, (t, uses) in list(pending.items()):
+            if all(u in benv for u in uses):
+                benv[v] = eval_term_batch(alg, t, benv)
+                mask = mask & dom[v][benv[v]]
+                del pending[v]
+    for scope, c in fs:
+        if isinstance(c, np.ndarray):
+            mask = mask & c[tuple(benv[v] for v in scope)]
         else:
-            pending.append((c, cv, ub))
-    if not pending:
-        return True
-    # connected components of the co-occurrence graph on unassigned variables
-    parent: dict[int, int] = {}
-    for _c, _cv, ub in pending:
-        it = iter(ub)
-        first = next(it)
-        parent.setdefault(first, first)
-        r0 = _find(parent, first)
-        for v in it:
-            parent.setdefault(v, v)
-            rv = _find(parent, v)
-            if rv != r0:
-                parent[rv] = r0
-    comps: dict[int, tuple[list, set[int]]] = {}
-    for c, cv, ub in pending:
-        root = _find(parent, next(iter(ub)))
-        entry = comps.setdefault(root, ([], set()))
-        entry[0].append((c, cv))
-        entry[1].update(ub)
-    for comp_parts, comp_vars in comps.values():
-        if not _solve_component(alg, comp_parts, frozenset(comp_vars), env, order, cache):
-            return False
-    return True
+            mask = mask & eval_formula_batch(alg, c, benv)
+    mask = np.broadcast_to(mask, shape)
+    if not out:
+        result |= mask.any()
+        return
+    hit = np.nonzero(mask)
+    result[tuple(np.broadcast_to(benv[v], shape)[hit] for v in out)] = True
 
 
-def _component_key(parts, comp_vars, env):
-    fixed = set()
-    for _c, cv in parts:
-        fixed |= cv
-    fixed -= comp_vars
-    try:
-        frame = tuple((v, env[v]) for v in sorted(fixed))
-    except KeyError as exc:
-        raise UnassignedVariableError(f"variable v{exc.args[0]} unassigned") from None
-    return (tuple(id(c) for c, _cv in parts), frame)
-
-
-def _unary_domain(alg, c, v, env):
-    batch_env = dict(env)
-    batch_env[v] = np.arange(alg.size)
-    mask = eval_formula_batch(alg, c, batch_env)
-    return frozenset(int(x) for x in np.nonzero(mask)[0])
-
-
-def _solve_component(alg, parts, comp_vars, env, order, cache):
-    key = _component_key(parts, comp_vars, env)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _solve_component_inner(alg, parts, comp_vars, env, order, cache)
-    cache[key] = result
-    return result
-
-
-def _solve_component_inner(alg, parts, comp_vars, env, order, cache):
+def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
+    """The factor over plan.kept; None when a step's result would be over BATCH_LIMIT."""
     size = alg.size
-    domains: dict[int, frozenset[int] | None] = {v: None for v in comp_vars}
-    residual: list[Formula] = []
-    for c, cv in parts:
-        ub = cv & comp_vars
-        if len(ub) == 1:
-            (v,) = ub
-            dom = _unary_domain(alg, c, v, env)
-            domains[v] = dom if domains[v] is None else domains[v] & dom
-            if not domains[v]:
-                return False
-        else:
-            residual.append(c)
-    full = frozenset(range(size))
-    for v in comp_vars:
-        if domains[v] is None:
-            domains[v] = full
-    forced = [(v, next(iter(dom))) for v, dom in domains.items() if len(dom) == 1]
-    if forced:
-        for v, val in forced:
-            env[v] = val
-        try:
-            return _solve(alg, parts, comp_vars - {v for v, _ in forced}, env, order, cache)
-        finally:
-            for v, _ in forced:
-                del env[v]
-    total = 1
-    for dom in domains.values():
-        total *= len(dom)
-    if total <= BATCH_LIMIT:
-        if not residual:
-            return True
-        ordered_vars = sorted(comp_vars, key=order.get)
-        grids = np.meshgrid(
-            *(np.fromiter(sorted(domains[v]), dtype=np.int64) for v in ordered_vars),
-            indexing="ij",
-        )
-        batch_env = dict(env)
-        for v, g in zip(ordered_vars, grids):
-            batch_env[v] = g.ravel()
-        mask = True
-        for c in residual:
-            mask = np.logical_and(mask, eval_formula_batch(alg, c, batch_env))
-        return bool(np.any(mask))
-    # condition on the earliest-occurring variable and re-split
-    v = min(comp_vars, key=order.get)
-    rest = comp_vars - {v}
-    for val in sorted(domains[v]):
-        env[v] = val
-        try:
-            if _solve(alg, parts, rest, env, order, cache):
-                return True
-        finally:
-            del env[v]
-    return False
+    nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
+    if not all(_eval(alg, c, env) for c in plan.ground):
+        return nothing
+    dom = {v: np.ones(size, dtype=bool) for v in plan.variables}
+    for v, c in plan.unary:
+        dom[v] &= eval_formula_batch(alg, c, {**env, v: np.arange(size)})
+        if not dom[v].any():
+            return nothing
+    values = {v: np.flatnonzero(d) for v, d in dom.items()}
+    factors, definitions = list(plan.factors), dict(plan.definitions)
+    todo = [v for v in plan.variables if v not in plan.kept]
+    while True:
+        steps = [_step(x, factors, definitions, plan.kept) for x in todo or [None]]
+        steps = [s for s in steps if size ** len(s[3]) <= BATCH_LIMIT]
+        if not steps:
+            return None
+        cells = [np.prod([len(values[v]) for v in s[2]], dtype=float) for s in steps]
+        fs, ds, grid, out = steps[cells.index(min(cells))]
+        result = np.zeros((size,) * len(out), dtype=bool)
+        _run_step(alg, env, fs, ds, grid, out, values, dom, result)
+        if not todo:
+            return result
+        factors = [fa for fa in factors if not any(fa is g for g in fs)]
+        if out:
+            factors.append((out, result))
+        elif not result:
+            return nothing
+        definitions = {v: d for v, d in definitions.items() if v not in ds}
+        todo = [v for v in todo if v in out or v not in grid and v not in ds]
+
+
+def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None, cache=None) -> np.ndarray:
+    """Boolean array, one axis of length alg.size per kept variable, True
+    where f holds; the other free variables take their values from env.
+
+    A caller-supplied cache dict memoizes the compiled plan per tuple of kept
+    variables; it must only be reused with the same formula.  When a step's
+    result would be over BATCH_LIMIT cells, the kept variables are fixed one
+    at a time.  Formulas other than existential conjunctions of equations,
+    and plans that are still too big, go to the reference evaluator.
+    """
+    kept = tuple(kept)
+    env = {v: a for v, a in _normalize_env(env).items() if v not in kept}
+    cache = {} if cache is None else cache
+    if kept not in cache:
+        cache[kept] = _compile(f, kept)
+    plan = cache[kept]
+    shape = (alg.size,) * len(kept)
+    if plan is not None:
+        for v in f.vars:
+            env.pop(v, None)
+        result = _solve(alg, plan, env)
+        if result is None and plan.kept:  # a step over the kept variables is too big: slice
+            v, rest = plan.kept[0], plan.kept[1:]
+            slices = [project_exists(alg, f, rest, {**env, v: a}, cache) for a in range(alg.size)]
+            result = np.stack(slices)
+        if result is not None:
+            axes = [alg.size if v in plan.kept else 1 for v in kept]
+            return np.broadcast_to(result.reshape(axes), shape)
+    cells = product(range(alg.size), repeat=len(kept))
+    found = [_eval(alg, f, {**env, **dict(zip(kept, c))}) for c in cells]
+    return np.array(found, dtype=bool).reshape(shape)
+
+
+def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None, cache=None) -> bool:
+    """Equivalent to eval_formula: project_exists with no kept variables."""
+    return bool(project_exists(alg, f, (), env, cache))
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +484,14 @@ class TotalityError(AlgebraError):
 
 
 def induced_partial_function(
-    alg: FiniteAlgebra, f: Formula, arity: int, var_order=None, cache=None
+    alg: FiniteAlgebra, f: Formula, arity: int, var_order=None
 ) -> PartialFunctionTable:
     """Partial function defined by f(x1..xn, y) with y the last variable.
 
     var_order lists the variable indices playing the roles (x1..xn, y); it
-    defaults to (0..arity).  Raises FunctionalityError on the first argument
-    tuple (in lexicographic order) with two distinct outputs.  cache is an
-    optional evaluation cache shared across calls with the same (alg, f).
+    defaults to (0..arity).  One solve per argument tuple projects f onto y.
+    Raises FunctionalityError on the first argument tuple (in lexicographic
+    order) with two distinct outputs, naming its two smallest outputs.
     """
     if arity < 0:
         raise ArityError("arity must be non-negative")
@@ -495,22 +499,17 @@ def induced_partial_function(
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")
     yvar = var_order[-1]
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     domain = set()
     values = {}
     for args in product(range(alg.size), repeat=arity):
         env = dict(zip(var_order[:arity], args))
-        found = None
-        for b in range(alg.size):
-            env[yvar] = b
-            if eval_exists_decomposed(alg, f, env, cache):
-                if found is not None:
-                    raise FunctionalityError(alg.name, args, found, b)
-                found = b
-        if found is not None:
+        outputs = np.flatnonzero(project_exists(alg, f, (yvar,), env, cache))
+        if len(outputs) > 1:
+            raise FunctionalityError(alg.name, args, int(outputs[0]), int(outputs[1]))
+        if len(outputs):
             domain.add(args)
-            values[args] = found
+            values[args] = int(outputs[0])
     return PartialFunctionTable(alg.name, arity, frozenset(domain), values)
 
 

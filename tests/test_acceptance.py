@@ -232,7 +232,7 @@ def test_criterion_13_cli_gate():
     reason="full n=4 registry run; enable with UAFORGE_DEEP=1",
 )
 def test_criterion_13_deep_registry():
-    with criterion(13, "cli: check --all --deep exits 0", 1800.0):
+    with criterion(13, "cli: check --all --deep exits 0", 180.0):
         runner = CliRunner()
         res = runner.invoke(cli_main, ["check", "--all", "--deep"])
         assert res.exit_code == 0, res.output

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uaforge import claims
 from uaforge.core import AlgebraError
 from uaforge.claims import (
     Workspace,
@@ -106,3 +107,18 @@ def test_section2_claims_ignore_n():
     b = run_claim("S2.SG-EMPTY", n=4)
     assert a.status == b.status == "pass"
     assert a.evidence == b.evidence
+
+
+def test_a_crashing_claim_is_recorded_and_the_rest_still_run(monkeypatch):
+    def crash(ws, n):
+        raise ZeroDivisionError("boom")
+
+    statement, _fn = claims._REGISTRY["S2.SUBALGS"]
+    monkeypatch.setitem(claims._REGISTRY, "S2.SUBALGS", (statement, crash))
+    results = run_all(n=3)
+    assert [r.id for r in results] == S2_IDS + S3_IDS
+    crashed = results[S2_IDS.index("S2.SUBALGS")]
+    assert crashed.status == "error"
+    assert crashed.evidence == "ZeroDivisionError: boom"
+    assert all(r.status == "pass" for r in results if r is not crashed)
+    assert report_dict(results)["summary"] == {"pass": 22, "fail": 1}

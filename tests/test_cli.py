@@ -97,6 +97,21 @@ def test_con(runner, files):
     assert res3.exit_code == 2
 
 
+def test_bad_algebra_files_exit_2(runner, tmp_path):
+    def doc(arity=1, entry=1):
+        op = {"symbol": "f", "arity": arity, "table": [0, entry]}
+        return {"name": "bad", "size": 2, "operations": [op]}
+
+    for i, bad in enumerate([doc(entry="x"), doc(entry=1.5), doc(entry=None),
+                             doc(entry=True), doc(arity="1")]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        res = runner.invoke(main, ["con", str(path)])
+        assert res.exit_code == 2, (bad, res.output)
+        assert "Traceback" not in res.output
+        assert "cannot load" in res.output
+
+
 def test_eval(runner, files):
     base = ["eval", files["sec2.B"], "--formula", "exists z . plus(x, y) = dia(z)"]
     res = runner.invoke(main, base + ["--assign", "x=0,y=a6|1"])
@@ -219,6 +234,19 @@ def test_check_rejects_bad_requests(runner):
         res6 = runner.invoke(main, args)
         assert res6.exit_code == 2, args
         assert "Traceback" not in res6.output
+
+
+def test_check_reports_a_crashing_claim(runner, monkeypatch):
+    from uaforge import claims
+
+    def crash(ws, n):
+        raise ZeroDivisionError("boom")
+
+    statement, _fn = claims._REGISTRY["S2.SUBALGS"]
+    monkeypatch.setitem(claims._REGISTRY, "S2.SUBALGS", (statement, crash))
+    res = runner.invoke(main, ["check", "S2.SUBALGS"])
+    assert res.exit_code == 1
+    assert "ERROR S2.SUBALGS" in res.output and "ZeroDivisionError: boom" in res.output
 
 
 def test_check_all(runner):

@@ -238,6 +238,64 @@ def test_json_schema_errors():
         )
 
 
+def test_json_rejects_non_integer_values():
+    def doc(size=2, arity=1, table=(0, 1)):
+        op = {"symbol": "f", "arity": arity, "table": list(table)}
+        return {"name": "x", "size": size, "operations": [op]}
+
+    for bad in (doc(table=(0, "x")), doc(table=(0, 1.5)), doc(table=(0, None)),
+                doc(table=(0, True)), doc(arity="1"), doc(arity=True), doc(size=2.0),
+                doc(size=True), doc(arity=10**18)):
+        with pytest.raises(AlgebraError):
+            algebra_from_dict(bad)
+    with pytest.raises(AlgebraError):
+        make_algebra("bad", SIG, 2, {"f": (0,) * 4, "g": (0, 1.0), "c": (0,)})
+
+
+_json_leaf = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+)
+_json_any = st.recursive(
+    _json_leaf,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _or_any(strategy):
+    return st.one_of(strategy, strategy, _json_any)
+
+
+_json_operation = st.fixed_dictionaries(
+    {
+        "symbol": _or_any(st.sampled_from(["f", "g", "c"])),
+        "arity": _or_any(st.integers(0, 2)),
+        "table": _or_any(st.lists(_or_any(st.integers(0, 2)), max_size=9)),
+    }
+)
+_json_documents = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "name": _or_any(st.text(max_size=3)),
+            "size": _or_any(st.integers(0, 3)),
+            "operations": _or_any(st.lists(_json_operation, max_size=3)),
+        },
+        optional={"elements": _or_any(st.lists(_or_any(st.text(max_size=2)), max_size=3))},
+    ),
+    _json_any,
+)
+
+
+@given(_json_documents)
+@settings(max_examples=300)
+def test_any_document_loads_or_raises_algebra_error(doc):
+    try:
+        alg = algebra_from_dict(doc)
+    except AlgebraError:
+        return
+    assert algebra_from_dict(algebra_to_dict(alg)) == alg
+
+
 def test_size_guard():
     sig = Signature((("c", 0),))
     big = FiniteAlgebra("big", sig, 30, {"c": (0,)}, None)

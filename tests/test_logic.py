@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uaforge import catalog
+from uaforge import catalog, logic
 from uaforge.catalog import HEYTING_SIGNATURE
 from uaforge.core import (
     AlgebraError,
@@ -37,6 +37,7 @@ from uaforge.logic import (
     is_pp,
     parse_formula,
     parse_formula_named,
+    project_exists,
 )
 
 SIG = Signature((("f", 2), ("g", 1), ("c", 0)))
@@ -232,6 +233,104 @@ def test_decomposed_env_does_not_leak_bound_assignments():
     assert env == {0: 1, 1: 2}  # caller's dict untouched
 
 
+def _reference_projection(alg, f, kept, env):
+    cells = itertools.product(range(alg.size), repeat=len(kept))
+    found = [eval_formula(alg, f, {**env, **dict(zip(kept, c))}) for c in cells]
+    return np.array(found, dtype=bool).reshape((alg.size,) * len(kept))
+
+
+def test_solver_slices_steps_over_the_batch_limit():
+    seen = {"sliced": 0, "largest": 0}
+    run_step, term_batch = logic._run_step, logic.eval_term_batch
+
+    def spy_step(alg, env, fs, ds, grid, out, values, dom, result):
+        seen["sliced"] += np.prod([len(values[v]) for v in grid]) > logic.BATCH_LIMIT
+        seen["largest"] = max(seen["largest"], result.size)
+        run_step(alg, env, fs, ds, grid, out, values, dom, result)
+
+    def spy_terms(alg, t, env):
+        value = term_batch(alg, t, env)
+        seen["largest"] = max(seen["largest"], np.size(value))
+        return value
+
+    @given(small_algebras(), pp_formulas(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(alg, f, data):
+        # room for a factor over one or two variables, never for a full grid
+        logic.BATCH_LIMIT = alg.size ** data.draw(st.integers(1, 2))
+        seen["largest"] = 0
+        env = {v: data.draw(st.integers(0, alg.size - 1)) for v in range(4)}
+        assert eval_exists_decomposed(alg, f, env) == eval_formula(alg, f, env)
+        kept = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2, unique=True)))
+        got = project_exists(alg, f, kept, env)
+        assert (got == _reference_projection(alg, f, kept, env)).all()
+        assert seen["largest"] <= logic.BATCH_LIMIT
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "BATCH_LIMIT", logic.BATCH_LIMIT)
+        mp.setattr(logic, "_run_step", spy_step)
+        mp.setattr(logic, "eval_term_batch", spy_terms)
+        check()
+        # phi(k, 3) with its z-blocks cut into slices of at most 64 cells,
+        # too few for the (w2, y) factor of k = 2, so y is fixed value by value
+        logic.BATCH_LIMIT, seen["largest"] = 64, 0
+        a3 = catalog.build("An?n=3")
+        for k in (1, 2):
+            f = catalog.build(f"phi?k={k}&n=3")[0]
+            for x in range(a3.size):
+                got = np.flatnonzero(project_exists(a3, f, (1,), {0: x}))
+                assert got.tolist() == [catalog.expected_phi_value(a3, k, x)]
+        assert seen["largest"] <= 64
+    assert seen["sliced"] > 0
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # v = t(v) is no definition
+        "exists v u . v = imp(v, u) /\\ meet(u, x) = y",
+        # v has two definitions; the second is a factor
+        "exists v u w . v = join(u, w) /\\ v = meet(u, x) /\\ imp(u, w) = y",
+        # v equals a free variable
+        "exists v u . v = x /\\ join(v, u) = y",
+        # u = meet(v, x) would close a cycle through v = neg(u)
+        "exists v u . v = neg(u) /\\ u = meet(v, x) /\\ join(u, y) = one",
+        # a chain of definitions, and one bound variable equal to another
+        "exists u v w . w = join(v, x) /\\ v = imp(u, y) /\\ meet(w, u) = x",
+        "exists v w . v = w /\\ meet(v, x) = y",
+        # the kept variable y is itself defined
+        "exists u . y = join(u, x) /\\ meet(u, x) = zero",
+    ],
+)
+def test_definition_edge_cases(src):
+    a3 = catalog.build("An?n=3")
+    f = parse_formula(src, HSIG)  # x:0 y:1
+    for x, y in itertools.product(range(a3.size), repeat=2):
+        env = {0: x, 1: y}
+        assert eval_exists_decomposed(a3, f, env) == eval_formula(a3, f, env)
+    for x in range(a3.size):
+        got = project_exists(a3, f, (1,), {0: x})
+        assert (got == _reference_projection(a3, f, (1,), {0: x})).all()
+
+
+def test_phi_k4_matches_the_atom_count_table():
+    a4 = catalog.build("An?n=4")
+    by_atoms = {}
+    for a in range(a4.size):
+        by_atoms.setdefault(len(catalog.atoms_below(a4, a)), a)
+    xs = [a4.index_of(name) for name in ("0", "e", "1")] + [by_atoms[j] for j in (1, 2, 3)]
+    for k in (1, 2, 3):
+        f = catalog.build(f"phi?k={k}&n=4")[0]
+        for x in xs:
+            want = catalog.expected_phi_value(a4, k, x)
+            outputs = project_exists(a4, f, (1,), {0: x})  # all 17 values of y
+            assert np.flatnonzero(outputs).tolist() == [want]
+        # the decision path, at the atom set of k atoms: its value and one non-value
+        x = by_atoms[k]
+        assert eval_exists_decomposed(a4, f, {0: x, 1: catalog.expected_phi_value(a4, k, x)})
+        assert not eval_exists_decomposed(a4, f, {0: x, 1: x})
+
+
 # --- induced functions -------------------------------------------------------
 
 
@@ -279,6 +378,53 @@ def test_induced_function_var_order():
         assert swapped.value((y, x)) == a3.op("meet", x, y)
     with pytest.raises(ArityError):
         induced_partial_function(a3, f, 2, var_order=(0, 1))
+
+
+def _scanned_function(alg, f, arity, decide):
+    """induced_partial_function rebuilt from one decision per (arguments, b)."""
+    values = {}
+    for args in itertools.product(range(alg.size), repeat=arity):
+        outs = [b for b in range(alg.size) if decide(alg, f, {**dict(enumerate(args)), arity: b})]
+        if len(outs) > 1:
+            return FunctionalityError(alg.name, args, outs[0], outs[1])
+        if outs:
+            values[args] = outs[0]
+    return values
+
+
+def _projected_function(alg, f, arity):
+    try:
+        return induced_partial_function(alg, f, arity).values
+    except FunctionalityError as exc:
+        return exc
+
+
+def _same(got, want):
+    if isinstance(want, FunctionalityError):
+        assert isinstance(got, FunctionalityError)
+        assert (got.arguments, got.first, got.second) == (want.arguments, want.first, want.second)
+    else:
+        assert got == want
+
+
+def test_projected_functions_match_a_scan_per_output():
+    sec2 = [catalog.build(c) for c in ("sec2.A", "sec2.A-minus-a4", "sec2.B")]
+    formulas = [
+        catalog.build("sec2.phi")[0],
+        parse_formula("exists z . plus(x, z) = y", catalog.SEC2_SIGNATURE),
+        parse_formula("exists z . dia(z) = box(y) /\\ plus(x, z) = a5", catalog.SEC2_SIGNATURE),
+    ]
+    for alg in sec2:
+        for f in formulas:
+            _same(_projected_function(alg, f, 1), _scanned_function(alg, f, 1, eval_formula))
+    # phi(k, 3): the reference evaluator is too slow for k = 2, so the scan uses
+    # the solver's decision path (checked against eval_formula in criterion 06)
+    a3 = catalog.build("An?n=3")
+    for k in (1, 2):
+        f = catalog.build(f"phi?k={k}&n=3")[0]
+        got = _projected_function(a3, f, 1)
+        _same(got, _scanned_function(a3, f, 1, eval_exists_decomposed))
+        assert got == {(a,): catalog.expected_phi_value(a3, k, a) for a in range(a3.size)}
 
 
 # --- parser -------------------------------------------------------------------
