@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
 from . import catalog
 from .analysis import (
     atom_permutation_automorphism,
@@ -24,7 +22,6 @@ from .analysis import (
     check_amalgamation,
     check_epic_subalgebras,
     embeddings,
-    endomorphisms,
     hs_classify,
     is_chain,
     is_group_under_composition,
@@ -46,7 +43,6 @@ from .logic import (
     eval_formula,
     induced_partial_function,
     is_pp,
-    project_exists,
 )
 from .partitions import Partition
 
@@ -70,7 +66,8 @@ class ClaimResult:
 
 
 class Workspace:
-    """Shared cache for objects that several claims need (per run)."""
+    """Per-run cache of what several claims derive from An and Bn; the catalog
+    memoizes the algebras themselves, so each lf_k table of Bn is solved once."""
 
     def __init__(self):
         self._store: dict = {}
@@ -80,40 +77,14 @@ class Workspace:
             self._store[key] = thunk()
         return self._store[key]
 
-    # the catalog memoizes the algebras themselves; these wrap the derived data
     def an(self, n):
         return catalog.build(f"An?n={n}")
 
     def bn(self, n):
         return catalog.build(f"Bn?n={n}")
 
-    def phi(self, k, n):
-        return catalog.build(f"phi?k={k}&n={n}")[0]
-
-    def phi_cache(self, k, n) -> dict:
-        return self.get(("phi-cache", k, n), dict)
-
-    def fkn(self, k, n):
-        return self.get(
-            ("fkn", k, n), lambda: induced_partial_function(self.an(n), self.phi(k, n), 1)
-        )
-
-    def phi_relation(self, k, n) -> frozenset:
-        def scan():
-            alg, f, cache = self.an(n), self.phi(k, n), self.phi_cache(k, n)
-            return frozenset(
-                (a, int(b))
-                for a in range(alg.size)
-                for b in np.flatnonzero(project_exists(alg, f, (1,), {0: a}, cache))
-            )
-
-        return self.get(("phi-rel", k, n), scan)
-
     def aut_bn(self, n):
         return self.get(("aut-bn", n), lambda: automorphisms(self.bn(n)))
-
-    def end_bn(self, n):
-        return self.get(("end-bn", n), lambda: endomorphisms(self.bn(n)))
 
     def bn_subalgebras(self, n):
         def build():
@@ -384,13 +355,15 @@ def _eq18(ws, n):
 
 @_claim("S3.PHI-CHAR", "the defining formulas relate a to exactly the value picked by its atom count")
 def _phi_char(ws, n):
-    An = ws.an(n)
+    # pp_expand builds Bn only if phi(k, n) gives one output per argument,
+    # so the relation of phi(k, n) is the graph of lf_k
+    An, Bn = ws.an(n), ws.bn(n)
     checked = 0
     for k in range(1, n):
         want = frozenset(
             (a, catalog.expected_phi_value(An, k, a)) for a in range(An.size)
         )
-        got = ws.phi_relation(k, n)
+        got = frozenset((a, Bn.op(f"lf{k}", a)) for a in range(An.size))
         if got != want:
             diff = sorted(got ^ want)[:3]
             return False, f"k={k}: relation differs at {diff}"
@@ -403,17 +376,12 @@ def _phi_char(ws, n):
 
 @_claim("S3.FKN", "each defining formula induces a total function matching the atom-count table")
 def _fkn(ws, n):
-    An = ws.an(n)
-    Bn = ws.bn(n)
+    # totality and functionality are checked by pp_expand when it builds Bn
+    An, Bn = ws.an(n), ws.bn(n)
     for k in range(1, n):
-        t = ws.fkn(k, n)
-        if not t.is_total_on(An.size):
-            return False, f"k={k}: not total"
         for a in range(An.size):
-            if t.value((a,)) != catalog.expected_phi_value(An, k, a):
+            if Bn.op(f"lf{k}", a) != catalog.expected_phi_value(An, k, a):
                 return False, f"k={k}: wrong value at {An.element_name(a)}"
-            if Bn.op(f"lf{k}", a) != t.value((a,)):
-                return False, f"k={k}: expansion table disagrees at {An.element_name(a)}"
     return True, f"lf1..lf{n - 1} total on A{n}; expansion tables agree"
 
 

@@ -150,7 +150,7 @@ def eval_cmd(file, src, assign):
 @main.command()
 @click.argument("files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--formula", "src", required=True, help="formula source text")
-@click.option("--arity", type=int, required=True, help="number of argument variables")
+@click.option("--arity", type=click.IntRange(min=0), required=True, help="number of argument variables")
 @click.option("--vars", "var_names", default=None, help="designated variables, output last")
 def functional(files, src, arity, var_names):
     """Check that a formula defines a partial function on each algebra.
@@ -173,6 +173,10 @@ def functional(files, src, arity, var_names):
                     f"--vars needs {arity + 1} free variable names of the formula"
                 )
             var_order = [free[v] for v in order]
+        designated = range(arity + 1) if var_order is None else var_order
+        extra = sorted(name for name, idx in free.items() if idx not in designated)
+        if extra:
+            raise click.UsageError(f"free variables outside the designated ones: {', '.join(extra)}")
         try:
             table = induced_partial_function(alg, formula, arity, var_order)
         except FunctionalityError as exc:

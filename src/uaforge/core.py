@@ -21,6 +21,9 @@ from .partitions import Partition
 # refuse universes larger than this
 SIZE_GUARD = 24
 
+# the largest universe built at all: a product, or an algebra read from a file
+MAX_UNIVERSE = 10**6
+
 
 class AlgebraError(ValueError):
     pass
@@ -166,7 +169,7 @@ class FiniteAlgebra:
         if self.element_names is not None and len(self.element_names) != self.size:
             raise AlgebraError("element_names length does not match size")
 
-    # cached numpy copies of the tables, used by the vectorized evaluator
+    # cached numpy copies of the tables, used by the pp solver
     @cached_property
     def np_tables(self) -> dict[str, np.ndarray]:
         return {sym: np.asarray(tab, dtype=np.int64) for sym, tab in self.tables.items()}
@@ -372,7 +375,7 @@ def direct_product(algs, signature: Signature | None = None, name=None) -> Finit
     total = 1
     for s in sizes:
         total *= s
-        if total > 10**6:
+        if total > MAX_UNIVERSE:
             raise SizeGuardError("product universe too large")
 
     def decode(idx):
@@ -500,6 +503,8 @@ def algebra_from_dict(data: dict) -> FiniteAlgebra:
         raise AlgebraError("name must be a string")
     if type(size) is not int:
         raise AlgebraError("size must be an integer")
+    if size > MAX_UNIVERSE:
+        raise SizeGuardError(f"size {size} is over the universe limit {MAX_UNIVERSE}")
     if not isinstance(ops, list):
         raise AlgebraError("operations must be a list")
     symbols = []

@@ -19,7 +19,8 @@ in binder order.
 
 eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
-conjunction of equations once into a plan.  An equation over one bound
+conjunction of equations into a plan on each call, evaluating terms over
+numpy arrays; other formulas go to the reference.  An equation over one bound
 variable cuts that variable's domain.  An equation v = t with v bound and
 not in t defines v, which is then computed from t instead of enumerated.
 Every other equation is a boolean factor over a sparse numpy grid of its
@@ -217,7 +218,7 @@ def eval_formula(alg: FiniteAlgebra, f: Formula, env=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation of quantifier-free formulas
+# vectorized term evaluation
 
 
 def eval_term_batch(alg: FiniteAlgebra, t: Term, env):
@@ -239,31 +240,6 @@ def eval_term_batch(alg: FiniteAlgebra, t: Term, env):
     if isinstance(k, (int, np.integer)):
         return int(table[k])
     return table[k]
-
-
-def eval_formula_batch(alg: FiniteAlgebra, f: Formula, env):
-    """Quantifier-free formulas only; returns a bool or a boolean array."""
-    if isinstance(f, Eq):
-        l = eval_term_batch(alg, f.lhs, env)
-        r = eval_term_batch(alg, f.rhs, env)
-        return l == r
-    if isinstance(f, And):
-        out = True
-        for p in f.parts:
-            out = np.logical_and(out, eval_formula_batch(alg, p, env))
-        return out
-    if isinstance(f, Or):
-        out = False
-        for p in f.parts:
-            out = np.logical_or(out, eval_formula_batch(alg, p, env))
-        return out
-    if isinstance(f, Implies):
-        l = eval_formula_batch(alg, f.left, env)
-        r = eval_formula_batch(alg, f.right, env)
-        return np.logical_or(np.logical_not(l), r)
-    if isinstance(f, Not):
-        return np.logical_not(eval_formula_batch(alg, f.body, env))
-    raise AlgebraError("batch evaluation requires a quantifier-free formula")
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +337,7 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
         if isinstance(c, np.ndarray):
             mask = mask & c[tuple(benv[v] for v in scope)]
         else:
-            mask = mask & eval_formula_batch(alg, c, benv)
+            mask = mask & (eval_term_batch(alg, c.lhs, benv) == eval_term_batch(alg, c.rhs, benv))
     mask = np.broadcast_to(mask, shape)
     if not out:
         result |= mask.any()
@@ -378,7 +354,8 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
         return nothing
     dom = {v: np.ones(size, dtype=bool) for v in plan.variables}
     for v, c in plan.unary:
-        dom[v] &= eval_formula_batch(alg, c, {**env, v: np.arange(size)})
+        uenv = {**env, v: np.arange(size)}
+        dom[v] &= eval_term_batch(alg, c.lhs, uenv) == eval_term_batch(alg, c.rhs, uenv)
         if not dom[v].any():
             return nothing
     values = {v: np.flatnonzero(d) for v, d in dom.items()}
@@ -404,22 +381,18 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
         todo = [v for v in todo if v in out or v not in grid and v not in ds]
 
 
-def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None, cache=None) -> np.ndarray:
+def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray:
     """Boolean array, one axis of length alg.size per kept variable, True
     where f holds; the other free variables take their values from env.
 
-    A caller-supplied cache dict memoizes the compiled plan per tuple of kept
-    variables; it must only be reused with the same formula.  When a step's
-    result would be over BATCH_LIMIT cells, the kept variables are fixed one
-    at a time.  Formulas other than existential conjunctions of equations,
-    and plans that are still too big, go to the reference evaluator.
+    The plan is compiled on every call.  When a step's result would be over
+    BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
+    other than existential conjunctions of equations, and plans that are
+    still too big, go to the reference evaluator.
     """
     kept = tuple(kept)
     env = {v: a for v, a in _normalize_env(env).items() if v not in kept}
-    cache = {} if cache is None else cache
-    if kept not in cache:
-        cache[kept] = _compile(f, kept)
-    plan = cache[kept]
+    plan = _compile(f, kept)
     shape = (alg.size,) * len(kept)
     if plan is not None:
         for v in f.vars:
@@ -427,7 +400,7 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None, cache=None) -
         result = _solve(alg, plan, env)
         if result is None and plan.kept:  # a step over the kept variables is too big: slice
             v, rest = plan.kept[0], plan.kept[1:]
-            slices = [project_exists(alg, f, rest, {**env, v: a}, cache) for a in range(alg.size)]
+            slices = [project_exists(alg, f, rest, {**env, v: a}) for a in range(alg.size)]
             result = np.stack(slices)
         if result is not None:
             axes = [alg.size if v in plan.kept else 1 for v in kept]
@@ -437,9 +410,9 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None, cache=None) -
     return np.array(found, dtype=bool).reshape(shape)
 
 
-def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None, cache=None) -> bool:
+def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None) -> bool:
     """Equivalent to eval_formula: project_exists with no kept variables."""
-    return bool(project_exists(alg, f, (), env, cache))
+    return bool(project_exists(alg, f, (), env))
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +472,11 @@ def induced_partial_function(
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")
     yvar = var_order[-1]
-    cache: dict = {}
     domain = set()
     values = {}
     for args in product(range(alg.size), repeat=arity):
         env = dict(zip(var_order[:arity], args))
-        outputs = np.flatnonzero(project_exists(alg, f, (yvar,), env, cache))
+        outputs = np.flatnonzero(project_exists(alg, f, (yvar,), env))
         if len(outputs) > 1:
             raise FunctionalityError(alg.name, args, int(outputs[0]), int(outputs[1]))
         if len(outputs):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uaforge import claims
+from uaforge import catalog, claims
 from uaforge.core import AlgebraError
 from uaforge.claims import (
     Workspace,
@@ -122,3 +122,24 @@ def test_a_crashing_claim_is_recorded_and_the_rest_still_run(monkeypatch):
     assert crashed.evidence == "ZeroDivisionError: boom"
     assert all(r.status == "pass" for r in results if r is not crashed)
     assert report_dict(results)["summary"] == {"pass": 22, "fail": 1}
+
+
+def test_phi_claims_catch_a_wrong_table(monkeypatch):
+    # PHI-CHAR and FKN read the lf_k tables of Bn; both must still fail when
+    # the atom-count oracle they compare against disagrees at one element
+    An = catalog.build("An?n=3")
+    atom, zero, one = catalog.atoms_of(An)[0], An.const("zero"), An.const("one")
+    right = catalog.expected_phi_value
+
+    def wrong(alg, k, a):
+        return zero if (k, a) == (1, atom) else right(alg, k, a)
+
+    assert right(An, 1, atom) == one
+    monkeypatch.setattr(catalog, "expected_phi_value", wrong)
+    ws = Workspace()
+    char = run_claim("S3.PHI-CHAR", n=3, workspace=ws)
+    fkn = run_claim("S3.FKN", n=3, workspace=ws)
+    assert char.status == "fail"
+    assert char.evidence == f"k=1: relation differs at {[(atom, zero), (atom, one)]}"
+    assert fkn.status == "fail"
+    assert fkn.evidence == f"k=1: wrong value at {An.element_name(atom)}"

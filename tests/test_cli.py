@@ -81,6 +81,15 @@ def test_sg(runner, files):
     assert json.loads(res2.output)["names"] == ["0", "{0}", "{1,2}", "e", "1"]
 
 
+def test_sg_refuses_a_huge_universe(runner, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "x", "size": 1000000000000, "operations": []}))
+    res = runner.invoke(main, ["sg", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "universe limit" in res.output
+
+
 def test_con(runner, files):
     res = runner.invoke(main, ["con", files["sec2.A"]])
     assert res.exit_code == 0
@@ -173,6 +182,19 @@ def test_functional_vars_option(runner, files):
          "--arity", "2", "--vars", "x,q,z"],
     )
     assert bad.exit_code == 2
+
+
+def test_functional_refuses_undesignated_variables(runner, files):
+    base = ["functional", files["sec2.A"], "--formula", "exists z . plus(x, w) = dia(y)",
+            "--arity", "1"]
+    for extra, name in (([], "y"), (["--vars", "x,y"], "w")):
+        res = runner.invoke(main, base + extra)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output
+        assert f"outside the designated ones: {name}" in res.output
+    negative = runner.invoke(main, ["functional", files["sec2.A"], "--formula", "zero = zero",
+                                    "--arity", "-1"])
+    assert negative.exit_code == 2 and "Traceback" not in negative.output
 
 
 def test_homs(runner, files):
