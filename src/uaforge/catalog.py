@@ -384,7 +384,8 @@ _PARAMETERIZED = {
     "phi": (("k", "n"), build_phi),
 }
 
-_memo: dict[str, object] = {}
+# keyed by (base, sorted parameters), so every spelling of an id shares one object
+_memo: dict[tuple, object] = {}
 
 
 def parse_id(ident: str) -> tuple[str, dict[str, int]]:
@@ -408,9 +409,10 @@ def catalog_ids() -> list[str]:
 
 def build(catalog_id: str):
     """Resolve a catalog id like "sec2.A", "An?n=3" or "phi?k=1&n=3"."""
-    if catalog_id in _memo:
-        return _memo[catalog_id]
     base, params = parse_id(catalog_id)
+    key = (base, tuple(sorted(params.items())))
+    if key in _memo:
+        return _memo[key]
     names, builder = _PARAMETERIZED.get(base, ((), _FIXED.get(base)))
     if builder is None:
         raise AlgebraError(f"unknown catalog id {catalog_id!r}")
@@ -418,6 +420,6 @@ def build(catalog_id: str):
         raise AlgebraError(
             f"catalog id {base!r} takes parameters {list(names)}, got {sorted(params)}"
         )
-    obj = builder(*(params[key] for key in names))
-    _memo[catalog_id] = obj
+    obj = builder(*(params[name] for name in names))
+    _memo[key] = obj
     return obj

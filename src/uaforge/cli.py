@@ -143,7 +143,10 @@ def eval_cmd(file, src, assign):
     missing = [name for name, idx in free.items() if idx not in env]
     if missing:
         raise click.UsageError(f"free variables without assignment: {', '.join(sorted(missing))}")
-    result = eval_exists_decomposed(alg, formula, env)
+    try:
+        result = eval_exists_decomposed(alg, formula, env)
+    except AlgebraError as exc:
+        raise click.UsageError(str(exc))
     click.echo("true" if result else "false")
 
 
@@ -187,6 +190,8 @@ def functional(files, src, arity, var_names):
             )
             failures += 1
             continue
+        except AlgebraError as exc:
+            raise click.UsageError(str(exc))
         total = "total" if table.is_total_on(alg.size) else f"domain {len(table.domain)}/{alg.size ** arity}"
         click.echo(f"{alg.name}: functional, {total}")
     sys.exit(1 if failures else 0)

@@ -1,50 +1,70 @@
 """Congruences of finite algebras.
 
-Principal congruences are generated with a union-find worklist closed under
-the basic translations (one operation, one argument slot varied).  The full
-congruence lattice is the join-closure of the principal ones together with
-the identity; joins of congruences are plain partition joins since the
+A basic translation is one operation with every argument slot fixed except
+one, seen as a unary map.  Each call builds the table of the algebra's
+distinct basic translations once.  A partition is a congruence exactly when
+every basic translation preserves it, and the principal congruence Cg(a, b)
+is the union-find closure of the pair under the translations.  The full
+congruence lattice is the join closure of the principal congruences together
+with the identity; joins of congruences are plain partition joins since the
 congruences of an algebra form a sublattice of the equivalence lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .core import FiniteAlgebra, guard_size
 from .partitions import Partition, _canonical, _find
 
 
+def _translations(alg: FiniteAlgebra) -> np.ndarray:
+    """The distinct basic translations, one row each; column a holds the images of a."""
+    size = alg.size
+    rows = [np.empty((0, size), dtype=np.int32)]
+    for sym, arity in alg.signature.symbols:
+        grid = alg.np_tables[sym].reshape((size,) * arity)
+        for pos in range(arity):
+            # move the varied slot last; the other slots are the fixed arguments
+            rows.append(np.moveaxis(grid, pos, -1).reshape(-1, size))
+    # int32 holds any element of a table that fits in memory, at half the int64 size
+    trans = np.concatenate(rows, dtype=np.int32)
+    # keep one copy of each row, comparing rows as raw bytes
+    as_bytes = trans.view(np.dtype((np.void, trans.itemsize * size))).ravel()
+    return trans[np.unique(as_bytes, return_index=True)[1]]
+
+
+def _closure(trans: np.ndarray, a: int, b: int) -> Partition:
+    """Least partition relating a and b that every translation preserves."""
+    parent = list(range(trans.shape[1]))
+    queue = []
+
+    def merge(x, y):
+        rx, ry = _find(parent, x), _find(parent, y)
+        if rx != ry:
+            parent[rx] = ry
+            queue.append((x, y))
+
+    merge(a, b)
+    while queue:
+        x, y = queue.pop()
+        tx, ty = trans[:, x], trans[:, y]
+        moved = tx != ty
+        for u, v in zip(tx[moved].tolist(), ty[moved].tolist()):
+            merge(u, v)
+    return Partition(_canonical(parent))
+
+
 def is_congruence(alg: FiniteAlgebra, part: Partition) -> bool:
-    """Compatibility check: one varied coordinate at a time suffices."""
+    """Every translation sends each a and the least member of its block into one block."""
     if part.size != alg.size:
         raise ValueError("partition size does not match the algebra")
-    rep = part.rep
-    size = alg.size
-    related = [
-        (a, b)
-        for a in range(size)
-        for b in range(a + 1, size)
-        if rep[a] == rep[b]
-    ]
-    for sym, arity in alg.signature.symbols:
-        if arity == 0:
-            continue
-        table = alg.tables[sym]
-        for a, b in related:
-            for pos in range(arity):
-                for rest in product(range(size), repeat=arity - 1):
-                    args_a = rest[:pos] + (a,) + rest[pos:]
-                    args_b = rest[:pos] + (b,) + rest[pos:]
-                    ka = kb = 0
-                    for x in args_a:
-                        ka = ka * size + x
-                    for x in args_b:
-                        kb = kb * size + x
-                    if rep[table[ka]] != rep[table[kb]]:
-                        return False
-    return True
+    rep = np.asarray(part.rep)
+    trans = _translations(alg)
+    return bool(np.array_equal(rep[trans], rep[trans[:, rep]]))
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
@@ -52,36 +72,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     size = alg.size
     if not (0 <= a < size and 0 <= b < size):
         raise ValueError(f"pair ({a},{b}) out of range")
-    parent = list(range(size))
-
-    def union(x, y):
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx == ry:
-            return False
-        parent[rx] = ry
-        return True
-
-    queue = []
-    if union(a, b):
-        queue.append((a, b))
-    ops = [(sym, arity, alg.tables[sym]) for sym, arity in alg.signature.symbols if arity]
-    while queue:
-        x, y = queue.pop()
-        for _sym, arity, table in ops:
-            for pos in range(arity):
-                for rest in product(range(size), repeat=arity - 1):
-                    kx = ky = 0
-                    for i in range(arity):
-                        if i == pos:
-                            vx, vy = x, y
-                        else:
-                            vx = vy = rest[i if i < pos else i - 1]
-                        kx = kx * size + vx
-                        ky = ky * size + vy
-                    u, v = table[kx], table[ky]
-                    if union(u, v):
-                        queue.append((u, v))
-    return Partition(_canonical(parent))
+    return _closure(_translations(alg), a, b)
 
 
 @dataclass(frozen=True)
@@ -110,30 +101,20 @@ class CongruenceLattice:
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: identity plus the join-closure of the principal ones."""
+    """All congruences: identity plus the join closure of the principal ones."""
     guard_size(alg.size, alg.name)
     size = alg.size
-    congs = {Partition.identity(size)}
-    principals = set()
-    for a in range(size):
-        for b in range(a + 1, size):
-            principals.add(principal_congruence(alg, a, b))
-    congs |= principals
-    # close under binary joins
-    added = True
-    while added:
-        added = False
-        for p, q in combinations(sorted(congs, key=lambda c: c.rep), 2):
-            j = p.join(q)
-            if j not in congs:
-                congs.add(j)
-                added = True
+    trans = _translations(alg)
+    principals = {_closure(trans, a, b) for a in range(size) for b in range(a + 1, size)}
+    congs = {Partition.identity(size)} | principals
+    # every congruence is a join of principal ones: join each new one with each
+    frontier = principals
+    while frontier:
+        frontier = {c.join(p) for c in frontier for p in principals} - congs
+        congs |= frontier
     # refinement-compatible total order: finer congruences have more blocks
     ordered = sorted(congs, key=lambda c: (-c.num_blocks, c.rep))
-    leq = tuple(
-        tuple(p.leq(q) for q in ordered)
-        for p in ordered
-    )
+    leq = tuple(tuple(p.leq(q) for q in ordered) for p in ordered)
     return CongruenceLattice(alg.name, size, tuple(ordered), leq)
 
 
@@ -158,23 +139,14 @@ def is_simple(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> b
 
 def is_si(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
     """Subdirectly irreducible: nontrivial with a least non-identity congruence."""
-    if alg.size == 1:
-        return False
     lattice = lattice or congruence_lattice(alg)
-    return monolith(lattice) is not None
+    return quotient_is_si(lattice, lattice.identity)
 
 
 def is_fsi(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
     """Finitely subdirectly irreducible: nontrivial, identity meet-irreducible."""
-    if alg.size == 1:
-        return False
     lattice = lattice or congruence_lattice(alg)
-    ident = lattice.identity
-    above = [c for c in lattice.congruences if c != ident]
-    for p, q in combinations(above, 2):
-        if p.meet(q) == ident:
-            return False
-    return True
+    return quotient_is_fsi(lattice, lattice.identity)
 
 
 # interval variants used when classifying quotients: the congruences of
@@ -195,6 +167,4 @@ def quotient_is_si(lattice: CongruenceLattice, theta: Partition) -> bool:
     if theta == lattice.full:
         return False
     above = [c for c in lattice.congruences if theta.leq(c) and c != theta]
-    if not above:
-        return False
     return any(all(m.leq(c) for c in above) for m in above)

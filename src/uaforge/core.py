@@ -272,6 +272,9 @@ def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
 def is_closed_subset(alg: FiniteAlgebra, elements) -> bool:
     elems = sorted(set(elements))
     inside = set(elems)
+    bad = [x for x in elems if not 0 <= x < alg.size]
+    if bad:
+        raise AlgebraError(f"element {bad[0]} out of range for size {alg.size}")
     for sym in alg.signature.constants():
         if alg.tables[sym][0] not in inside:
             return False
@@ -420,8 +423,7 @@ def quotient(alg: FiniteAlgebra, part: Partition, name=None) -> FiniteAlgebra:
     if part.size != alg.size:
         raise AlgebraError("partition size does not match the algebra")
     blocks = part.blocks()
-    block_index = {b[0]: i for i, b in enumerate(blocks)}
-    cls = [block_index[part.rep[x]] for x in range(alg.size)]
+    cls = quotient_map(alg, part)
     k = len(blocks)
     size = alg.size
     tables = {}

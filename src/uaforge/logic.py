@@ -40,11 +40,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    MAX_UNIVERSE,
     AlgebraError,
     Apply,
     ArityError,
     FiniteAlgebra,
     Signature,
+    SizeGuardError,
     Term,
     UnassignedVariableError,
     Variable,
@@ -381,6 +383,20 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
         todo = [v for v in todo if v in out or v not in grid and v not in ds]
 
 
+def _reference_cost(size: int, f: Formula) -> int:
+    """Equations the reference evaluator may check: connectives add, and a
+    quantifier multiplies its body by the number of assignments it tries."""
+    if isinstance(f, Eq):
+        return 1
+    if isinstance(f, (And, Or)):
+        return sum(_reference_cost(size, p) for p in f.parts)
+    if isinstance(f, Implies):
+        return _reference_cost(size, f.left) + _reference_cost(size, f.right)
+    if isinstance(f, Not):
+        return _reference_cost(size, f.body)
+    return size ** len(f.vars) * _reference_cost(size, f.body)
+
+
 def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray:
     """Boolean array, one axis of length alg.size per kept variable, True
     where f holds; the other free variables take their values from env.
@@ -388,7 +404,8 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     The plan is compiled on every call.  When a step's result would be over
     BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
     other than existential conjunctions of equations, and plans that are
-    still too big, go to the reference evaluator.
+    still too big, go to the reference evaluator; when it would check over
+    MAX_UNIVERSE equations, SizeGuardError is raised instead.
     """
     kept = tuple(kept)
     env = {v: a for v, a in _normalize_env(env).items() if v not in kept}
@@ -405,6 +422,10 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
         if result is not None:
             axes = [alg.size if v in plan.kept else 1 for v in kept]
             return np.broadcast_to(result.reshape(axes), shape)
+    if alg.size ** len(kept) * _reference_cost(alg.size, f) > MAX_UNIVERSE:
+        raise SizeGuardError(
+            f"{alg.name}: the reference evaluator would check over the limit of {MAX_UNIVERSE} equations"
+        )
     cells = product(range(alg.size), repeat=len(kept))
     found = [_eval(alg, f, {**env, **dict(zip(kept, c))}) for c in cells]
     return np.array(found, dtype=bool).reshape(shape)
@@ -464,10 +485,16 @@ def induced_partial_function(
     var_order lists the variable indices playing the roles (x1..xn, y); it
     defaults to (0..arity).  One solve per argument tuple projects f onto y.
     Raises FunctionalityError on the first argument tuple (in lexicographic
-    order) with two distinct outputs, naming its two smallest outputs.
+    order) with two distinct outputs, naming its two smallest outputs, and
+    SizeGuardError when there are over MAX_UNIVERSE argument tuples.
     """
     if arity < 0:
         raise ArityError("arity must be non-negative")
+    # bound the arity first: size**arity of a huge arity is itself too big to form
+    if arity > MAX_UNIVERSE.bit_length() or alg.size**arity > MAX_UNIVERSE:
+        raise SizeGuardError(
+            f"{alg.name} has {alg.size}^{arity} argument tuples, over the limit {MAX_UNIVERSE}"
+        )
     var_order = tuple(var_order) if var_order is not None else tuple(range(arity + 1))
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")

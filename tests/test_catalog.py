@@ -248,6 +248,13 @@ def test_trivial_algebra_and_reduct():
     assert h.name.endswith("|heyting")
 
 
+def test_build_memo_is_keyed_by_the_parsed_id():
+    for spellings in (("An?n=3", "An?n=03", "An?n= 3 "), ("phi?k=1&n=3", "phi?n=3&k=1")):
+        objs = [build(s) for s in spellings]
+        assert all(o is objs[0] for o in objs)
+        assert sum(v is objs[0] for v in catalog._memo.values()) == 1
+
+
 def test_build_resolver():
     assert build("sec2.A") is build("sec2.A")  # memoized
     assert build("An?n=3") is build("An?n=3")

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,25 @@ def test_functional_refuses_undesignated_variables(runner, files):
     negative = runner.invoke(main, ["functional", files["sec2.A"], "--formula", "zero = zero",
                                     "--arity", "-1"])
     assert negative.exit_code == 2 and "Traceback" not in negative.output
+
+
+def test_eval_and_functional_refuse_unbounded_work(runner, files):
+    a = files["sec2.A"]
+    for args in (
+        # 8^9 assignments for the reference evaluator
+        ["eval", a, "--formula", "forall a b c d e f g h i . meet(a, b) = meet(b, a) \\/ x = x",
+         "--assign", "x=0"],
+        # a tuple of 10^9 variables
+        ["functional", a, "--formula", "x = y", "--arity", "1000000000"],
+        # 8^9 solves
+        ["functional", a, "--formula", "meet(x, x) = y", "--arity", "9",
+         "--vars", "x,x,x,x,x,x,x,x,x,y"],
+    ):
+        start = time.perf_counter()
+        res = runner.invoke(main, args)
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output and "over the limit" in res.output
 
 
 def test_homs(runner, files):

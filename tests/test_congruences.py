@@ -19,6 +19,8 @@ from uaforge.core import Signature, direct_product, make_algebra, quotient, suba
 from uaforge.partitions import Partition
 
 SIG = Signature((("f", 2), ("g", 1)))
+# a ternary operation has a middle argument slot; constants give no translation
+SIGNATURES = (SIG, SIG.extended((("h", 3),)), Signature((("c", 0),)))
 
 
 def all_partitions(n):
@@ -53,11 +55,12 @@ def is_cong_brute(alg, part):
 def small_algebras(draw, max_size=4):
     size = draw(st.integers(2, max_size))
     elem = st.integers(0, size - 1)
+    sig = draw(st.sampled_from(SIGNATURES))
     tables = {
-        "f": tuple(draw(st.lists(elem, min_size=size * size, max_size=size * size))),
-        "g": tuple(draw(st.lists(elem, min_size=size, max_size=size))),
+        sym: tuple(draw(st.lists(elem, min_size=size**arity, max_size=size**arity)))
+        for sym, arity in sig.symbols
     }
-    return make_algebra("rand", SIG, size, tables)
+    return make_algebra("rand", sig, size, tables)
 
 
 @given(small_algebras(), st.data())
@@ -81,28 +84,50 @@ def test_principal_congruence_is_least(alg, data):
     b = data.draw(st.integers(0, n - 1))
     theta = principal_congruence(alg, a, b)
     assert theta.same(a, b)
-    assert is_congruence(alg, theta)
+    assert is_cong_brute(alg, theta)
     # least among all congruences containing the pair
     for part in all_partitions(n):
-        if part.same(a, b) and is_congruence(alg, part):
+        if part.same(a, b) and is_cong_brute(alg, part):
             assert theta.leq(part)
 
 
+def check_lattice_against_brute(alg):
+    brute = sorted(p.rep for p in all_partitions(alg.size) if is_cong_brute(alg, p))
+    lat = congruence_lattice(alg)
+    assert sorted(c.rep for c in lat.congruences) == brute
+    # ordering contract: coarser (fewer blocks) first, identity first overall
+    blocks = [c.num_blocks for c in lat.congruences]
+    assert lat.congruences[0] == Partition.identity(alg.size)
+    assert blocks[1:] == sorted(blocks[1:], reverse=True)
+    # leq matrix agrees with partition refinement
+    for i, p in enumerate(lat.congruences):
+        for j, q in enumerate(lat.congruences):
+            assert lat.leq[i][j] == p.leq(q)
+
+
+def slot_algebras():
+    """For each argument slot of a binary and a ternary operation, an algebra
+    whose operation applies one unary map to that slot and ignores the others,
+    so its congruences are the partitions that map preserves.  Random tables
+    nearly always give simple algebras, which would hide a translation table
+    that varies the wrong slot."""
+    g = (1, 0, 3, 3)
+    for arity in (2, 3):
+        for slot in range(arity):
+            table = [g[args[slot]] for args in itertools.product(range(4), repeat=arity)]
+            yield make_algebra(f"slot{slot}", Signature((("h", arity),)), 4, {"h": table})
+
+
 def test_congruence_lattice_matches_brute_enumeration():
-    for alg in (catalog.build("sec2.A-minus-a4"), catalog.build("sec2.A")):
-        brute = sorted(
-            (p.rep for p in all_partitions(alg.size) if is_congruence(alg, p))
-        )
-        lat = congruence_lattice(alg)
-        assert sorted(c.rep for c in lat.congruences) == brute
-        # ordering contract: coarser (fewer blocks) first, identity first overall
-        blocks = [c.num_blocks for c in lat.congruences]
-        assert lat.congruences[0] == Partition.identity(alg.size)
-        assert blocks[1:] == sorted(blocks[1:], reverse=True)
-        # leq matrix agrees with partition refinement
-        for i, p in enumerate(lat.congruences):
-            for j, q in enumerate(lat.congruences):
-                assert lat.leq[i][j] == p.leq(q)
+    named = (catalog.build("sec2.A-minus-a4"), catalog.build("sec2.A"))
+    for alg in (*named, *slot_algebras()):
+        check_lattice_against_brute(alg)
+
+
+@given(small_algebras())
+@settings(max_examples=40)
+def test_random_congruence_lattices_match_brute_enumeration(alg):
+    check_lattice_against_brute(alg)
 
 
 def count_filters(alg):

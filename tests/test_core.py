@@ -155,6 +155,10 @@ def test_subalgebra_reindexes():
     assert sub.element_names == ("q", "s")
     with pytest.raises(NotClosedError):
         subalgebra(alg, (2,))
+    # -1 would index from the end of a table, 4 past it
+    for outside in (range(-1, 4), (1, 3, 4)):
+        with pytest.raises(AlgebraError, match="out of range"):
+            subalgebra(alg, outside)
 
 
 def test_direct_product_componentwise():
