@@ -1,12 +1,12 @@
 """Homomorphisms, isomorphism, HS classification, amalgamation.
 
 The hom search binds images element by element with full constraint
-propagation: every time an element's image is fixed, all operation
-applications among currently-mapped elements are propagated, which forces the
-images of everything the mapped set generates.  Branching only happens on a
-greedily chosen generating set, so e.g. automorphisms of the powerset-style
-algebras branch only over atom images.  Every map that survives the search is
-re-checked against the full tables independently.
+propagation: every time an element's image is fixed, each operation is
+applied to the argument tuples of mapped elements that contain it, which
+forces the images of everything the mapped set generates.  Branching only
+happens on a greedily chosen generating set, so e.g. automorphisms of the
+powerset-style algebras branch only over atom images.  Every map that
+survives the search is re-checked against the full tables independently.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
+from .catalog import atoms_below
 from .congruences import congruence_lattice, quotient_is_fsi, quotient_is_si
 from .core import (
     AlgebraError,
@@ -32,11 +35,11 @@ def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
         return False
     if len(mapping) != A.size:
         return False
-    for sym, arity in A.signature.symbols:
-        for args in product(range(A.size), repeat=arity):
-            if mapping[A.op(sym, *args)] != B.op(sym, *(mapping[a] for a in args)):
-                return False
-    return True
+    m = np.asarray(mapping)
+    return all(
+        np.array_equal(m[grid], B.grids[sym][np.ix_(*[m] * grid.ndim)])
+        for sym, grid in A.grids.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -70,28 +73,32 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     if (injective and A.size > B.size) or (kind == "bijective" and A.size != B.size):
         return HomSet(A.name, B.name, (), kind)
 
-    nonconst = [(sym, ar) for sym, ar in A.signature.symbols if ar > 0]
+    nonconst = [(A.grids[sym], B.grids[sym]) for sym, ar in A.signature.symbols if ar]
+
+    def assign(img, x, v, queue) -> bool:
+        # map x to v, or confirm that it is; fail on a clash or a repeated image
+        if img[x] is None:
+            if injective and v in img:
+                return False
+            img[x] = v
+            queue.append(x)
+            return True
+        return img[x] == v
 
     def propagate(img, queue) -> bool:
         # force images of everything the mapped set generates; fail on clash
         while queue:
             e = queue.pop()
             mapped = [x for x in range(A.size) if img[x] is not None]
-            for sym, ar in nonconst:
-                for args in product(mapped, repeat=ar):
-                    if e not in args:
-                        continue
-                    r = A.op(sym, *args)
-                    rv = B.op(sym, *(img[a] for a in args))
-                    if img[r] is None:
-                        if injective and any(
-                            img[x] == rv for x in mapped if x != r
-                        ):
+            others = [x for x in mapped if x != e]
+            for grid_a, grid_b in nonconst:
+                ar = grid_a.ndim
+                # the tuples whose first e is in slot i: earlier slots avoid e
+                for i in range(ar):
+                    for args in product(*[others] * i, [e], *[mapped] * (ar - 1 - i)):
+                        r, v = int(grid_a[args]), int(grid_b[tuple(img[a] for a in args)])
+                        if not assign(img, r, v, queue):
                             return False
-                        img[r] = rv
-                        queue.append(r)
-                    elif img[r] != rv:
-                        return False
         return True
 
     def search(img):
@@ -103,33 +110,16 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
             if is_homomorphism(A, B, img):
                 out.append(tuple(img))
             return
-        used = {v for v in img if v is not None}
         for v in range(B.size):
-            if injective and v in used:
-                continue
-            img2 = list(img)
-            img2[e] = v
-            if propagate(img2, [e]):
+            img2, queue = list(img), []
+            if assign(img2, e, v, queue) and propagate(img2, queue):
                 search(img2)
 
     img0: list = [None] * A.size
-    queue0 = []
-    ok = True
-    for sym in A.signature.constants():
-        e, v = A.tables[sym][0], B.tables[sym][0]
-        if img0[e] is None:
-            if injective and any(
-                img0[x] == v for x in range(A.size) if img0[x] is not None and x != e
-            ):
-                ok = False
-                break
-            img0[e] = v
-            queue0.append(e)
-        elif img0[e] != v:
-            ok = False
-            break
-    if ok and propagate(img0, queue0):
-        search(img0)
+    queue0: list = []
+    if all(assign(img0, A.const(c), B.const(c), queue0) for c in A.signature.constants()):
+        if propagate(img0, queue0):
+            search(img0)
     return HomSet(A.name, B.name, tuple(out), kind)
 
 
@@ -176,36 +166,25 @@ def is_group_under_composition(maps) -> bool:
 # isomorphism
 
 
-def _element_profile(alg: FiniteAlgebra, x: int):
-    prof = []
-    for sym, arity in alg.signature.symbols:
-        table = alg.tables[sym]
-        if arity == 0:
-            prof.append(table[0] == x)
-        elif arity == 1:
-            prof.append((table[x] == x, sum(1 for v in table if v == x)))
-        elif arity == 2:
-            prof.append(
-                (alg.op(sym, x, x) == x, sum(1 for v in table if v == x))
-            )
-        else:
-            prof.append(sum(1 for v in table if v == x))
-    return tuple(prof)
+def _element_profiles(alg: FiniteAlgebra) -> list[tuple]:
+    """Sorted per-element invariants: is the element idempotent under each
+    operation (the constant itself, for a constant), and how often is it a
+    value of each operation."""
+    elems = np.arange(alg.size)
+    columns = []
+    for grid in alg.grids.values():
+        columns.append(grid[(elems,) * grid.ndim] == elems)
+        columns.append(np.bincount(grid.ravel(), minlength=alg.size))
+    return sorted(zip(*(c.tolist() for c in columns)))
 
 
-def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra, witness=False):
-    """Isomorphism test; with witness=True returns (bool, map or None)."""
-    result: tuple[int, ...] | None = None
-    if A.size == B.size and A.signature == B.signature:
-        profs_a = sorted(_element_profile(A, x) for x in range(A.size))
-        profs_b = sorted(_element_profile(B, x) for x in range(B.size))
-        if profs_a == profs_b:
-            found = homs(A, B, "bijective", first_only=True)
-            if found.maps:
-                result = found.maps[0]
-    if witness:
-        return (result is not None, result)
-    return result is not None
+def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
+    """Isomorphism test: profiles as a pre-filter, then a bijective hom search."""
+    if A.size != B.size or A.signature != B.signature:
+        return False
+    if _element_profiles(A) != _element_profiles(B):
+        return False
+    return bool(homs(A, B, "bijective", first_only=True).maps)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +393,6 @@ def atom_permutation_automorphism(alg: FiniteAlgebra, sigma) -> tuple[tuple[int,
     is fixed.  Returns (map, ok) where ok reports the independent
     automorphism check rather than asserting it.
     """
-    from .catalog import atoms_below  # local import to avoid a module cycle
-
     top = alg.const("one")
     zero = alg.const("zero")
     out = []

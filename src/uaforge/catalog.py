@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+import numpy as np
+
 from .core import (
     AlgebraError,
     Apply,
@@ -207,16 +209,12 @@ def build_An(n: int) -> FiniteAlgebra:
 
 def atoms_of(alg: FiniteAlgebra) -> list[int]:
     """Atoms of the order defined by the meet operation."""
-    size = alg.size
-    le = [[alg.op("meet", a, b) == a for b in range(size)] for a in range(size)]
     bottom = alg.const("zero")
-    out = []
-    for a in range(size):
-        if a == bottom:
-            continue
-        if all(b == bottom or b == a or not le[b][a] for b in range(size)):
-            out.append(a)
-    return out
+    # strictly_below[b, a]: b <= a, that is meet(b, a) = b, with b not a and not the bottom
+    strictly_below = alg.grids["meet"] == np.arange(alg.size)[:, None]
+    strictly_below[bottom] = False
+    np.fill_diagonal(strictly_below, False)
+    return [a for a in np.flatnonzero(~strictly_below.any(axis=0)).tolist() if a != bottom]
 
 
 def atoms_below(alg: FiniteAlgebra, a: int) -> list[int]:

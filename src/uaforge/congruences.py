@@ -25,9 +25,8 @@ def _translations(alg: FiniteAlgebra) -> np.ndarray:
     """The distinct basic translations, one row each; column a holds the images of a."""
     size = alg.size
     rows = [np.empty((0, size), dtype=np.int32)]
-    for sym, arity in alg.signature.symbols:
-        grid = alg.np_tables[sym].reshape((size,) * arity)
-        for pos in range(arity):
+    for grid in alg.grids.values():
+        for pos in range(grid.ndim):
             # move the varied slot last; the other slots are the fixed arguments
             rows.append(np.moveaxis(grid, pos, -1).reshape(-1, size))
     # int32 holds any element of a table that fits in memory, at half the int64 size

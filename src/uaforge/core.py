@@ -2,8 +2,11 @@
 
 An algebra lives on the universe {0..size-1}.  Each operation of arity r is a
 flat row-major tuple of length size**r: the entry for arguments (x1,..,xr)
-sits at index x1*size**(r-1) + ... + xr.  Everything downstream (closure,
-quotients, products, homomorphism search) works on these tables directly.
+sits at index x1*size**(r-1) + ... + xr.  Code that walks whole tables
+indexes ``alg.grids[sym]`` instead: the same table as a read-only numpy array
+of shape (size,)*r, so that ``grid[x1, .., xr]`` is the entry.  Besides this
+module, only the pp solver's batch evaluator reads the flat ``np_tables``;
+``op`` and ``eval_term`` are the scalar reference.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -169,10 +171,22 @@ class FiniteAlgebra:
         if self.element_names is not None and len(self.element_names) != self.size:
             raise AlgebraError("element_names length does not match size")
 
-    # cached numpy copies of the tables, used by the pp solver
+    # cached read-only numpy copies of the tables, shared by every caller
     @cached_property
     def np_tables(self) -> dict[str, np.ndarray]:
-        return {sym: np.asarray(tab, dtype=np.int64) for sym, tab in self.tables.items()}
+        out = {sym: np.asarray(tab, dtype=np.int64) for sym, tab in self.tables.items()}
+        for arr in out.values():
+            arr.flags.writeable = False
+        return out
+
+    @cached_property
+    def grids(self) -> dict[str, np.ndarray]:
+        """Each table reshaped to (size,)*arity, in signature order, so that
+        grid[x1, .., xr] is the entry for the arguments (x1, .., xr)."""
+        return {
+            sym: self.np_tables[sym].reshape((self.size,) * arity)
+            for sym, arity in self.signature.symbols
+        }
 
     def op(self, symbol: str, *args: int) -> int:
         arity = self.signature.arity(symbol)
@@ -242,54 +256,35 @@ class SubuniverseResult:
 def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
     """Subuniverse generated by the given elements (constants always included)."""
     size = alg.size
-    member = [False] * size
+    member = np.zeros(size, dtype=bool)
     for g in generators:
         if not 0 <= g < size:
             raise AlgebraError(f"generator {g} out of range for size {size}")
         member[g] = True
     for sym in alg.signature.constants():
-        member[alg.tables[sym][0]] = True
-    # iterate to a fixpoint; universes are small so the rescan is cheap
-    changed = True
-    while changed:
-        changed = False
-        current = [i for i in range(size) if member[i]]
-        for sym, arity in alg.signature.symbols:
-            if arity == 0:
-                continue
-            table = alg.tables[sym]
-            for args in product(current, repeat=arity):
-                k = 0
-                for a in args:
-                    k = k * size + a
-                v = table[k]
-                if not member[v]:
-                    member[v] = True
-                    changed = True
-    return SubuniverseResult(tuple(i for i in range(size) if member[i]))
+        member[alg.grids[sym]] = True
+    grids = [grid for grid in alg.grids.values() if grid.ndim]
+    current = np.flatnonzero(member)
+    # apply every operation to the current members until a round adds nothing
+    while True:
+        for grid in grids:
+            member[grid[np.ix_(*[current] * grid.ndim)]] = True
+        grown = np.flatnonzero(member)
+        if len(grown) == len(current):
+            return SubuniverseResult(tuple(current.tolist()))
+        current = grown
 
 
 def is_closed_subset(alg: FiniteAlgebra, elements) -> bool:
     elems = sorted(set(elements))
-    inside = set(elems)
     bad = [x for x in elems if not 0 <= x < alg.size]
     if bad:
         raise AlgebraError(f"element {bad[0]} out of range for size {alg.size}")
-    for sym in alg.signature.constants():
-        if alg.tables[sym][0] not in inside:
-            return False
-    for sym, arity in alg.signature.symbols:
-        if arity == 0:
-            continue
-        table = alg.tables[sym]
-        size = alg.size
-        for args in product(elems, repeat=arity):
-            k = 0
-            for a in args:
-                k = k * size + a
-            if table[k] not in inside:
-                return False
-    return True
+    inside = np.zeros(alg.size, dtype=bool)
+    inside[elems] = True
+    return all(
+        inside[grid[np.ix_(*[elems] * grid.ndim)]].all() for grid in alg.grids.values()
+    )
 
 
 def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -305,21 +300,19 @@ def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, 
         elems = sorted(set(elements))
     if not is_closed_subset(alg, elems):
         raise NotClosedError(f"{elems} is not a subuniverse of {alg.name!r}")
-    old_to_new = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    tables = {}
-    for sym, arity in alg.signature.symbols:
-        table = []
-        for args in product(elems, repeat=arity):
-            table.append(old_to_new[alg.op(sym, *args)])
-        tables[sym] = tuple(table)
+    old_to_new = np.zeros(alg.size, dtype=np.int64)
+    old_to_new[elems] = np.arange(len(elems))
+    tables = {
+        sym: tuple(np.ravel(old_to_new[grid[np.ix_(*[elems] * grid.ndim)]]).tolist())
+        for sym, grid in alg.grids.items()
+    }
     names = None
     if alg.element_names is not None:
         names = tuple(alg.element_names[e] for e in elems)
     sub = FiniteAlgebra(
         f"{alg.name}.sub({','.join(map(str, elems))})",
         alg.signature,
-        k,
+        len(elems),
         tables,
         names,
     )
@@ -381,34 +374,19 @@ def direct_product(algs, signature: Signature | None = None, name=None) -> Finit
         if total > MAX_UNIVERSE:
             raise SizeGuardError("product universe too large")
 
-    def decode(idx):
-        coords = []
-        for s in reversed(sizes):
-            coords.append(idx % s)
-            idx //= s
-        return tuple(reversed(coords))
-
-    def encode(coords):
-        idx = 0
-        for c, s in zip(coords, sizes):
-            idx = idx * s + c
-        return idx
-
+    # coords[f][i] is the f-th coordinate of product element i
+    coords = np.unravel_index(np.arange(total), sizes)
     tables = {}
     for sym, arity in sig.symbols:
-        table = []
-        for args in product(range(total), repeat=arity):
-            arg_coords = [decode(a) for a in args]
-            res = tuple(
-                algs[f].op(sym, *(ac[f] for ac in arg_coords)) for f in range(len(algs))
-            )
-            table.append(encode(res))
-        tables[sym] = tuple(table)
+        results = [
+            alg.grids[sym][np.ix_(*[c] * arity)] for alg, c in zip(algs, coords)
+        ]
+        tables[sym] = tuple(np.ravel(np.ravel_multi_index(results, sizes)).tolist())
     enames = None
     if all(a.element_names is not None for a in algs):
         enames = tuple(
-            "(" + ",".join(algs[f].element_name(decode(i)[f]) for f in range(len(algs))) + ")"
-            for i in range(total)
+            "(" + ",".join(alg.element_name(c) for alg, c in zip(algs, cs)) + ")"
+            for cs in zip(*(c.tolist() for c in coords))
         )
     pname = name or "x".join(a.name for a in algs)
     return FiniteAlgebra(pname, sig, total, tables, enames)
@@ -423,30 +401,23 @@ def quotient(alg: FiniteAlgebra, part: Partition, name=None) -> FiniteAlgebra:
     if part.size != alg.size:
         raise AlgebraError("partition size does not match the algebra")
     blocks = part.blocks()
-    cls = quotient_map(alg, part)
-    k = len(blocks)
-    size = alg.size
+    cls = np.asarray(quotient_map(alg, part))
     tables = {}
-    for sym, arity in alg.signature.symbols:
-        table = [None] * (k**arity)
-        # fill from every representative tuple and verify consistency
-        for args in product(range(size), repeat=arity):
-            idx = 0
-            for a in args:
-                idx = idx * k + cls[a]
-            v = cls[alg.op(sym, *args)]
-            if table[idx] is None:
-                table[idx] = v
-            elif table[idx] != v:
-                raise NotCongruenceError(
-                    f"partition is not compatible with operation {sym!r}"
-                )
-        tables[sym] = tuple(table)
+    for sym, grid in alg.grids.items():
+        # write the class of every entry onto its cell of the class grid, then
+        # read it back: the operation is well defined iff every entry reads
+        # back its own class
+        cells, images = np.ix_(*[cls] * grid.ndim), cls[grid]
+        qgrid = np.empty((len(blocks),) * grid.ndim, dtype=np.int64)
+        qgrid[cells] = images
+        if not np.array_equal(qgrid[cells], images):
+            raise NotCongruenceError(f"partition is not compatible with operation {sym!r}")
+        tables[sym] = tuple(qgrid.ravel().tolist())
     enames = None
     if alg.element_names is not None:
         enames = tuple("|".join(alg.element_name(x) for x in b) for b in blocks)
     qname = name or f"{alg.name}/theta"
-    return FiniteAlgebra(qname, alg.signature, k, tables, enames)
+    return FiniteAlgebra(qname, alg.signature, len(blocks), tables, enames)
 
 
 def quotient_map(alg: FiniteAlgebra, part: Partition) -> tuple[int, ...]:

@@ -1,7 +1,8 @@
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uaforge import catalog
@@ -40,26 +41,60 @@ def small_algebras(draw, max_size=3):
     return make_algebra("rand", SIG, size, tables)
 
 
+def commutes(A, B, m):
+    """The definition of a homomorphism, one op call per argument tuple."""
+    return all(
+        m[A.op(sym, *args)] == B.op(sym, *(m[a] for a in args))
+        for sym, arity in A.signature.symbols
+        for args in itertools.product(range(A.size), repeat=arity)
+    )
+
+
 def brute_homs(A, B):
     return sorted(
         m
         for m in itertools.product(range(B.size), repeat=A.size)
-        if is_homomorphism(A, B, m)
+        if commutes(A, B, m)
     )
 
 
 @given(small_algebras(), small_algebras())
+@example(  # mapping 2 to 1 clashes at f(1, 2), where 2 is in the second slot only
+    make_algebra("A", SIG, 3, {"f": (1, 0, 0, 0, 1, 0, 0, 1, 1), "g": (1, 1, 1), "c": (0,)}),
+    make_algebra("B", SIG, 3, {"f": (1, 0, 0, 0, 1, 0, 0, 0, 0), "g": (1, 1, 0), "c": (0,)}),
+)
 @settings(max_examples=50)
 def test_homs_match_brute_force(A, B):
     expected = brute_homs(A, B)
-    got = homs(A, B)
+    maps = itertools.product(range(B.size), repeat=A.size)
+    assert [m for m in maps if is_homomorphism(A, B, m)] == expected
+    leaf_checks = []
+
+    def recorded(*args):
+        leaf_checks.append(is_homomorphism(*args))
+        return leaf_checks[-1]
+
+    with mock.patch("uaforge.analysis.is_homomorphism", recorded):
+        got = homs(A, B)
+        inj = homs(A, B, kind="injective")
+        bij = homs(A, B, kind="bijective")
+    # propagation checks every argument tuple, so each complete map is a
+    # homomorphism before the search re-checks it
+    assert all(leaf_checks)
     assert sorted(got.maps) == expected
-    inj = homs(A, B, kind="injective")
     assert sorted(inj.maps) == [m for m in expected if len(set(m)) == A.size]
-    bij = homs(A, B, kind="bijective")
     assert sorted(bij.maps) == [
         m for m in expected if A.size == B.size and len(set(m)) == A.size
     ]
+
+
+def test_injective_homs_reject_images_forced_in_one_step():
+    # the constant fixes 0; one propagation step then maps both 2 = f(0,0)
+    # and 1 = g(0) onto 1
+    A = make_algebra("A", SIG, 3, {"f": (2,) + (1,) * 8, "g": (1, 1, 1), "c": (0,)})
+    B = make_algebra("B", SIG, 3, {"f": (1,) * 9, "g": (1, 1, 1), "c": (0,)})
+    assert homs(A, B).maps == ((0, 1, 1),)
+    assert homs(A, B, kind="injective").maps == ()
 
 
 @given(small_algebras(), small_algebras())
@@ -122,9 +157,9 @@ def test_is_isomorphic_accepts_relabelings(A, data):
             table[k] = perm[A.op(sym, *args)]
         tables[sym] = tuple(table)
     B = make_algebra("perm", SIG, A.size, tables)
-    ok, witness = is_isomorphic(A, B, witness=True)
-    assert ok
-    assert is_homomorphism(A, B, witness) and len(set(witness)) == A.size
+    assert is_isomorphic(A, B)
+    (witness,) = homs(A, B, "bijective", first_only=True).maps
+    assert commutes(A, B, witness) and len(set(witness)) == A.size
 
 
 def test_is_isomorphic_negatives():

@@ -52,6 +52,15 @@ def small_algebras(draw, max_size=4):
     return make_algebra("rand", SIG, size, tables)
 
 
+def closed_by_definition(alg, elems):
+    """Every operation applied to members gives a member, one op call per tuple."""
+    return all(
+        alg.op(sym, *args) in elems
+        for sym, arity in alg.signature.symbols
+        for args in itertools.product(elems, repeat=arity)
+    )
+
+
 def two_chain():
     sig = Signature((("meet", 2), ("one", 0)))
     return make_algebra(
@@ -100,6 +109,13 @@ def test_op_and_names():
     with pytest.raises(UnknownSymbolError):
         alg.op("join", 0, 1)
     assert not alg.is_trivial
+    assert alg.grids["meet"][1, 0] == 0 and alg.grids["meet"][1, 1] == 1
+    assert alg.grids["one"][()] == 1
+    # the arrays are shared by every caller, so none may write to them
+    with pytest.raises(ValueError):
+        alg.np_tables["meet"][0] = 1
+    with pytest.raises(ValueError):
+        alg.grids["meet"][0, 0] = 1
 
 
 def test_eval_term():
@@ -132,10 +148,79 @@ def test_all_subuniverses_matches_powerset_oracle(alg):
         tuple(s)
         for r in range(alg.size + 1)
         for s in itertools.combinations(range(alg.size), r)
-        if is_closed_subset(alg, s)
+        if closed_by_definition(alg, s)
     )
     got = sorted(r.elements for r in all_subuniverses(alg))
     assert got == brute
+
+
+SIG3 = Signature((("f", 2), ("h", 3), ("c", 0)))
+
+
+@st.composite
+def noncommutative_algebras(draw, max_size=4):
+    """A binary f with f(0,1) != f(1,0), so a transposed table shows, and a ternary h."""
+    size = draw(st.integers(1, max_size))
+    elem = st.integers(0, size - 1)
+    tables = {
+        sym: draw(st.lists(elem, min_size=size**arity, max_size=size**arity))
+        for sym, arity in SIG3.symbols
+    }
+    if size > 1:
+        tables["f"][size] = (tables["f"][1] + 1) % size
+    return make_algebra("rand", SIG3, size, tables)
+
+
+@given(noncommutative_algebras(), noncommutative_algebras(max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_table_walkers_match_op_definitions(alg, other):
+    size = alg.size
+    for r in range(size + 1):
+        for s in itertools.combinations(range(size), r):
+            closed = closed_by_definition(alg, s)
+            assert is_closed_subset(alg, s) == closed
+            if not closed:
+                with pytest.raises(NotClosedError):
+                    subalgebra(alg, s)
+                continue
+            sub, embed = subalgebra(alg, s)
+            for sym, arity in SIG3.symbols:
+                for args in itertools.product(range(sub.size), repeat=arity):
+                    assert embed[sub.op(sym, *args)] == alg.op(sym, *(embed[a] for a in args))
+
+    parts = {
+        Partition.from_pairs(size, [(i, j) for i in range(size) for j in range(i) if lab[i] == lab[j]])
+        for lab in itertools.product(range(size), repeat=size)
+    }
+    for part in parts:
+        # blocks numbered by least member; the operations on blocks read off
+        # every argument tuple, and the symbols on which two tuples disagree
+        reps = sorted(set(part.rep))
+        cls = [reps.index(part.rep[x]) for x in range(size)]
+        on_blocks, clashes = {}, []
+        for sym, arity in SIG3.symbols:
+            for args in itertools.product(range(size), repeat=arity):
+                key, v = (sym, tuple(cls[a] for a in args)), cls[alg.op(sym, *args)]
+                if on_blocks.setdefault(key, v) != v and sym not in clashes:
+                    clashes.append(sym)
+        if clashes:
+            with pytest.raises(NotCongruenceError, match=repr(clashes[0])):
+                quotient(alg, part)
+            continue
+        q = quotient(alg, part)
+        assert q.size == len(reps)
+        for (sym, args), v in on_blocks.items():
+            assert q.op(sym, *args) == v
+
+    prod = direct_product([alg, other])
+    assert prod.size == size * other.size
+    for sym, arity in SIG3.symbols:
+        for args in itertools.product(range(prod.size), repeat=arity):
+            # row-major: element i is the pair divmod(i, other.size)
+            coords = [divmod(a, other.size) for a in args]
+            left = alg.op(sym, *(c[0] for c in coords))
+            right = other.op(sym, *(c[1] for c in coords))
+            assert prod.op(sym, *args) == left * other.size + right
 
 
 def test_is_closed_subset_definition():
