@@ -44,10 +44,7 @@ def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
 
 @dataclass(frozen=True)
 class HomSet:
-    source: str
-    target: str
     maps: tuple[tuple[int, ...], ...]
-    kind: str  # all | injective | bijective
 
     def __len__(self):
         return len(self.maps)
@@ -71,7 +68,7 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     injective = kind in ("injective", "bijective")
     out: list[tuple[int, ...]] = []
     if (injective and A.size > B.size) or (kind == "bijective" and A.size != B.size):
-        return HomSet(A.name, B.name, (), kind)
+        return HomSet(())
 
     nonconst = [(A.grids[sym], B.grids[sym]) for sym, ar in A.signature.symbols if ar]
 
@@ -120,7 +117,7 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     if all(assign(img0, A.const(c), B.const(c), queue0) for c in A.signature.constants()):
         if propagate(img0, queue0):
             search(img0)
-    return HomSet(A.name, B.name, tuple(out), kind)
+    return HomSet(tuple(out))
 
 
 def endomorphisms(A: FiniteAlgebra) -> HomSet:
@@ -297,30 +294,24 @@ def check_amalgamation(members, targets=None) -> tuple[bool, list[SpanReport]]:
         return emb_cache[key]
 
     reports: list[SpanReport] = []
-    all_ok = True
     for apex in members:
         for left in members:
             for f in emb(apex, left):
                 for right in members:
                     for g in emb(apex, right):
+                        amalgam = next(
+                            (
+                                Amalgam(target.name, p, q)
+                                for target in targets
+                                for p in emb(left, target)
+                                for q in emb(right, target)
+                                if all(p[f[a]] == q[g[a]] for a in range(apex.size))
+                            ),
+                            None,
+                        )
                         span = Span(apex.name, left.name, right.name, f, g)
-                        amalgam = None
-                        for target in targets:
-                            for p in emb(left, target):
-                                for q in emb(right, target):
-                                    if all(
-                                        p[f[a]] == q[g[a]] for a in range(apex.size)
-                                    ):
-                                        amalgam = Amalgam(target.name, p, q)
-                                        break
-                                if amalgam:
-                                    break
-                            if amalgam:
-                                break
-                        if amalgam is None:
-                            all_ok = False
                         reports.append(SpanReport(span, amalgam))
-    return all_ok, reports
+    return all(r.ok for r in reports), reports
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +335,22 @@ def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]
 
     For every proper subuniverse A of every subalgebra C of big, find an
     endomorphism of big that is the identity on A but moves some element of
-    C - A (the second endomorphism of the pair is the identity map).
+    C - A (the second endomorphism of the pair is the identity map).  The
+    subuniverses of C are the subuniverses of big inside C, so the pairs
+    (C, A) come from one list of big's subuniverses.
     """
     ends = endomorphisms(big)
+    subs = [s.elements for s in all_subuniverses(big)]
     witnesses: list[EpicWitness] = []
-    all_ok = True
-    for s in all_subuniverses(big):
-        sub, embed = subalgebra(big, s)
-        for t in all_subuniverses(sub):
-            inner = tuple(embed[i] for i in t.elements)
-            if len(inner) == len(s.elements):
-                continue  # not proper
-            found = None
-            moved = None
-            for h in ends:
-                if all(h[a] == a for a in inner):
-                    movers = [b for b in s.elements if h[b] != b]
-                    if movers:
-                        found, moved = h, movers[0]
-                        break
-            if found is None:
-                all_ok = False
-            witnesses.append(EpicWitness(s.elements, inner, found, moved))
-    return all_ok, witnesses
+    for c in subs:
+        for a in subs:
+            if set(a) < set(c):
+                endo, moved = next(
+                    ((h, b) for h in ends if all(h[x] == x for x in a) for b in c if h[b] != b),
+                    (None, None),
+                )
+                witnesses.append(EpicWitness(c, a, endo, moved))
+    return all(w.ok for w in witnesses), witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -329,13 +329,11 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
     for symbol, formula, arity in ops:
         if not is_pp(formula):
             raise AlgebraError(f"{symbol!r} is not defined by a pp formula")
-        pf = induced_partial_function(alg, formula, arity)
-        for args in product(range(alg.size), repeat=arity):
-            if args not in pf.domain:
-                raise TotalityError(alg.name, args)
-        tables[symbol] = tuple(
-            pf.values[args] for args in product(range(alg.size), repeat=arity)
-        )
+        values = induced_partial_function(alg, formula, arity).values
+        try:
+            tables[symbol] = tuple(values[args] for args in product(range(alg.size), repeat=arity))
+        except KeyError as exc:  # the first argument tuple without an output
+            raise TotalityError(alg.name, exc.args[0]) from None
         new_syms.append((symbol, arity))
     return make_algebra(
         name or f"{alg.name}.pp",
@@ -353,12 +351,12 @@ def build_Bn(n: int) -> FiniteAlgebra:
     return pp_expand(base, ops, name=f"B{n}")
 
 
-def trivial_algebra(sig: Signature, name="trivial") -> FiniteAlgebra:
-    return direct_product([], sig, name=name)
+def trivial_algebra(sig: Signature) -> FiniteAlgebra:
+    return direct_product([], sig, name="trivial")
 
 
-def heyting_reduct(alg: FiniteAlgebra, name=None) -> FiniteAlgebra:
-    return reduct(alg, HEYTING_SIGNATURE.names(), name=name or f"{alg.name}|heyting")
+def heyting_reduct(alg: FiniteAlgebra) -> FiniteAlgebra:
+    return reduct(alg, HEYTING_SIGNATURE.names(), name=f"{alg.name}|heyting")
 
 
 # ---------------------------------------------------------------------------

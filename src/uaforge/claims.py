@@ -12,7 +12,7 @@ evidence string phrased with catalog element names, and wall time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
 
 from . import catalog
@@ -56,13 +56,7 @@ class ClaimResult:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "status": self.status,
-            "evidence": self.evidence,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 class Workspace:
@@ -102,12 +96,6 @@ class Workspace:
             return reps
 
         return self.get(("bn-reps", n), build)
-
-    def hs_an(self, n):
-        return self.get(("hs-an", n), lambda: hs_classify(self.an(n)))
-
-    def hs_bn(self, n):
-        return self.get(("hs-bn", n), lambda: hs_classify(self.bn(n)))
 
 
 _REGISTRY: dict[str, tuple[str, object]] = {}
@@ -330,7 +318,8 @@ def _eq18(ws, n):
         if (An.op("meet", neg(a), neg(a)) == one) != (a == zero):
             return False, f"(6) fails at {a}"
     # (4) and (5) quantify over subalgebras
-    for s in all_subuniverses(An):
+    subs = all_subuniverses(An)
+    for s in subs:
         sub, _ = subalgebra(An, s)
         ats = catalog.atoms_of(sub)
         top = sub.const("one")
@@ -348,7 +337,7 @@ def _eq18(ws, n):
                     return False, f"(5) fails at atom {sub.element_name(b)}"
     return True, (
         f"facts (1)-(8) verified on A{n} and, for the atom facts, on its "
-        f"{len(all_subuniverses(An))} subalgebras; (3) holds in the corrected "
+        f"{len(subs)} subalgebras; (3) holds in the corrected "
         "form: double negation is 1 exactly on {e,1}"
     )
 
@@ -387,7 +376,7 @@ def _fkn(ws, n):
 
 @_claim("S3.FSI-AN", "the FSI quotients of subalgebras of An are A0..An, one class each")
 def _fsi_an(ws, n):
-    hs = ws.hs_an(n)
+    hs = hs_classify(ws.an(n))
     reps = [hs.representatives[c] for c in hs.fsi_classes()]
     if len(reps) != n + 1:
         return False, f"{len(reps)} FSI classes, expected {n + 1}"
@@ -412,7 +401,7 @@ def _con_pres(ws, n):
 
 @_claim("S3.FSI-BN", "the FSI quotients of subalgebras of Bn are exactly its subalgebras")
 def _fsi_bn(ws, n):
-    hs = ws.hs_bn(n)
+    hs = hs_classify(ws.bn(n))
     fsi_reps = [hs.representatives[c] for c in hs.fsi_classes()]
     sub_reps = ws.bn_sub_reps(n)
     if len(fsi_reps) != len(sub_reps):

@@ -7,6 +7,7 @@ error.  Algebra files use the JSON table format of the core module.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import click
@@ -40,7 +41,7 @@ def _load(path: str) -> FiniteAlgebra:
 
 def _element(alg: FiniteAlgebra, token: str) -> int:
     token = token.strip()
-    if token.lstrip("-").isdigit():
+    if re.fullmatch(r"-?[0-9]+", token):  # ASCII digits only; anything else is a name
         idx = int(token)
         if not 0 <= idx < alg.size:
             raise click.UsageError(f"element index {idx} out of range for {alg.name}")
@@ -72,13 +73,16 @@ def build(catalog_id, output):
     if isinstance(obj, FiniteAlgebra):
         text = dumps_algebra(obj)
     elif isinstance(obj, Partition):
-        text = json.dumps({"size": obj.size, "blocks": obj.to_blocks_json()}, indent=2) + "\n"
+        text = json.dumps({"size": obj.size, "blocks": obj.blocks()}, indent=2) + "\n"
     else:  # (formula, display names)
         formula, names = obj
         text = format_formula(formula, names) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write {output}: {exc}")
     else:
         click.echo(text, nl=False)
 

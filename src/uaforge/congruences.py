@@ -76,10 +76,8 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    algebra_name: str
     size: int
     congruences: tuple[Partition, ...]
-    leq: tuple[tuple[bool, ...], ...]
 
     def __len__(self):
         return len(self.congruences)
@@ -94,9 +92,6 @@ class CongruenceLattice:
     @property
     def full(self) -> Partition:
         return Partition.full(self.size)
-
-    def index(self, part: Partition) -> int:
-        return self.congruences.index(part)
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
@@ -113,8 +108,7 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
         congs |= frontier
     # refinement-compatible total order: finer congruences have more blocks
     ordered = sorted(congs, key=lambda c: (-c.num_blocks, c.rep))
-    leq = tuple(tuple(p.leq(q) for q in ordered) for p in ordered)
-    return CongruenceLattice(alg.name, size, tuple(ordered), leq)
+    return CongruenceLattice(size, tuple(ordered))
 
 
 def monolith(lattice: CongruenceLattice) -> Partition | None:

@@ -76,6 +76,8 @@ class Signature:
                 raise AlgebraError(f"arity of {name!r} must be an integer, got {arity!r}")
             if arity < 0:
                 raise AlgebraError(f"negative arity for {name!r}")
+            if arity > 32:  # numpy 1.x arrays, which hold the tables, have at most 32 axes
+                raise AlgebraError(f"arity of {name!r} is over 32")
             arities[name] = arity
         # symbol -> arity lookup for the evaluators; not a field, so equality
         # and hashing still see only the symbols tuple
@@ -276,15 +278,9 @@ def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
 
 
 def is_closed_subset(alg: FiniteAlgebra, elements) -> bool:
-    elems = sorted(set(elements))
-    bad = [x for x in elems if not 0 <= x < alg.size]
-    if bad:
-        raise AlgebraError(f"element {bad[0]} out of range for size {alg.size}")
-    inside = np.zeros(alg.size, dtype=bool)
-    inside[elems] = True
-    return all(
-        inside[grid[np.ix_(*[elems] * grid.ndim)]].all() for grid in alg.grids.values()
-    )
+    """A subset is closed when it generates itself."""
+    elems = tuple(sorted(set(elements)))
+    return sg_closure(alg, elems).elements == elems
 
 
 def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, ...]]:

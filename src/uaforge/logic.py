@@ -51,6 +51,7 @@ from .core import (
     UnassignedVariableError,
     Variable,
     eval_term,
+    term_variables,
 )
 
 # ---------------------------------------------------------------------------
@@ -107,29 +108,8 @@ def _term_vars_ordered(t: Term, out: list[int]) -> None:
             _term_vars_ordered(a, out)
 
 
-def _formula_vars_ordered(f: Formula, out: list[int]) -> None:
-    if isinstance(f, Eq):
-        _term_vars_ordered(f.lhs, out)
-        _term_vars_ordered(f.rhs, out)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            _formula_vars_ordered(p, out)
-    elif isinstance(f, Implies):
-        _formula_vars_ordered(f.left, out)
-        _formula_vars_ordered(f.right, out)
-    elif isinstance(f, Not):
-        _formula_vars_ordered(f.body, out)
-    elif isinstance(f, (Exists, Forall)):
-        out.extend(f.vars)
-        _formula_vars_ordered(f.body, out)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-
-
 def free_variables(f: Formula) -> frozenset[int]:
     if isinstance(f, Eq):
-        from .core import term_variables
-
         return term_variables(f.lhs) | term_variables(f.rhs)
     if isinstance(f, (And, Or)):
         out: frozenset[int] = frozenset()
@@ -287,7 +267,8 @@ def _compile(f: Formula, kept: tuple) -> _Plan | None:
     ground, unary, factors, definitions = [], [], [], {}
     for c in conjuncts:
         walk: list[int] = []
-        _formula_vars_ordered(c, walk)
+        _term_vars_ordered(c.lhs, walk)
+        _term_vars_ordered(c.rhs, walk)
         scope = tuple(dict.fromkeys(v for v in walk if v in solver_vars))
         occurring.update(dict.fromkeys(scope))
         if not scope:
@@ -442,16 +423,18 @@ def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None) -> bool:
 
 @dataclass(frozen=True)
 class PartialFunctionTable:
-    algebra: str
     arity: int
-    domain: frozenset
     values: dict
+
+    @property
+    def domain(self) -> frozenset:
+        return frozenset(self.values)
 
     def value(self, args) -> int:
         return self.values[tuple(args)]
 
     def is_total_on(self, size: int) -> bool:
-        return len(self.domain) == size**self.arity
+        return len(self.values) == size**self.arity
 
 
 class FunctionalityError(AlgebraError):
@@ -499,7 +482,6 @@ def induced_partial_function(
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")
     yvar = var_order[-1]
-    domain = set()
     values = {}
     for args in product(range(alg.size), repeat=arity):
         env = dict(zip(var_order[:arity], args))
@@ -507,16 +489,15 @@ def induced_partial_function(
         if len(outputs) > 1:
             raise FunctionalityError(alg.name, args, int(outputs[0]), int(outputs[1]))
         if len(outputs):
-            domain.add(args)
             values[args] = int(outputs[0])
-    return PartialFunctionTable(alg.name, arity, frozenset(domain), values)
+    return PartialFunctionTable(arity, values)
 
 
-def check_functional(algs, f: Formula, arity: int, var_order=None) -> bool:
+def check_functional(algs, f: Formula, arity: int) -> bool:
     """True iff every argument tuple has at most one output on every algebra."""
     for alg in algs:
         try:
-            induced_partial_function(alg, f, arity, var_order)
+            induced_partial_function(alg, f, arity)
         except FunctionalityError:
             return False
     return True
@@ -529,11 +510,8 @@ _RESERVED = ("exists", "forall")
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<and>/\\)"
-    r"|(?P<or>\\/)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[()=.,!])"
+    r"|(?P<symbol>->|/\\|\\/|[()=.,!])"
 )
 
 
@@ -550,21 +528,10 @@ def _tokenize(src: str):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup == "ws":
-            pos = m.end()
-            continue
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "arrow":
-            out.append(("->", text, pos))
-        elif kind == "and":
-            out.append(("/\\", text, pos))
-        elif kind == "or":
-            out.append(("\\/", text, pos))
-        elif kind == "punct":
-            out.append((text, text, pos))
-        else:
-            out.append(("ident", text, pos))
+        if m.lastgroup != "ws":
+            # an identifier's kind is "ident"; every other token is its own kind
+            text = m.group()
+            out.append(("ident" if m.lastgroup == "ident" else text, text, pos))
         pos = m.end()
     out.append(("eof", "", len(src)))
     return out

@@ -63,25 +63,6 @@ class Partition:
                 parent[ra] = rb
         return cls(_canonical(parent))
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks) -> "Partition":
-        """Blocks must be disjoint subsets of range(n); singletons may be omitted."""
-        parent = list(range(n))
-        seen = set()
-        for block in blocks:
-            block = list(block)
-            for x in block:
-                if not 0 <= x < n:
-                    raise ValueError(f"element {x} out of range for size {n}")
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
-            for x in block[1:]:
-                ra, rb = _find(parent, block[0]), _find(parent, x)
-                if ra != rb:
-                    parent[ra] = rb
-        return cls(_canonical(parent))
-
     def same(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]
 
@@ -124,6 +105,3 @@ class Partition:
                 least[key] = i
             rep.append(least[key])
         return Partition(tuple(rep))
-
-    def to_blocks_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks()]

@@ -233,6 +233,31 @@ def test_epic_subalgebras():
     assert any(not w.ok for w in wit_a)
 
 
+def subuniverses_by_definition(alg):
+    """Every subset closed under every operation, one op call per tuple,
+    sorted by (size, elements)."""
+    subs = [
+        elems
+        for r in range(alg.size + 1)
+        for elems in itertools.combinations(range(alg.size), r)
+        if all(
+            alg.op(sym, *args) in elems
+            for sym, arity in alg.signature.symbols
+            for args in itertools.product(elems, repeat=arity)
+        )
+    ]
+    return sorted(subs, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("cid", ["Bn?n=3", "sec2.A"])
+def test_epic_survey_covers_every_proper_pair(cid):
+    alg = catalog.build(cid)
+    subs = subuniverses_by_definition(alg)
+    want = [(c, a) for c in subs for a in subs if set(a) < set(c)]
+    _ok, witnesses = check_epic_subalgebras(alg)
+    assert [(w.subalgebra, w.inner) for w in witnesses] == want
+
+
 def test_order_helpers():
     a3 = catalog.build("An?n=3")
     assert lattice_leq(a3, 0, 5) and not lattice_leq(a3, 5, 2)

@@ -112,14 +112,36 @@ def test_bad_algebra_files_exit_2(runner, tmp_path):
         op = {"symbol": "f", "arity": arity, "table": [0, entry]}
         return {"name": "bad", "size": 2, "operations": [op]}
 
+    # one element, so the one-entry table of an arity-100 operation is valid
+    huge_arity = {"name": "t", "size": 1,
+                  "operations": [{"symbol": "f", "arity": 100, "table": [0]}]}
     for i, bad in enumerate([doc(entry="x"), doc(entry=1.5), doc(entry=None),
-                             doc(entry=True), doc(arity="1")]):
+                             doc(entry=True), doc(arity="1"), huge_arity]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(bad))
         res = runner.invoke(main, ["con", str(path)])
         assert res.exit_code == 2, (bad, res.output)
         assert "Traceback" not in res.output
         assert "cannot load" in res.output
+
+
+def test_element_tokens_outside_ascii_digits_exit_2(runner, files):
+    # "²" is a digit to str.isdigit, and "--1" strips to one, but int() takes neither
+    A = files["sec2.A"]
+    for args in (["sg", A, "--gens=²"], ["sg", A, "--gens=--1"],
+                 ["eval", A, "--formula", "plus(x, x) = x", "--assign", "x=²"],
+                 ["con", A, "--principal", "²,1"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "Traceback" not in res.output
+        assert "no element named" in res.output
+
+
+def test_build_to_an_unwritable_path_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["build", "sec2.A", "-o", str(tmp_path / "missing" / "x")])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    assert "cannot write" in res.output
 
 
 def test_eval(runner, files):

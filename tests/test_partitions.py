@@ -61,16 +61,6 @@ def test_identity_and_full():
     assert Partition.full(1) == Partition.identity(1)
 
 
-def test_from_blocks():
-    p = Partition.from_blocks(5, [(3, 1), (0,)])
-    assert p.blocks() == ((0,), (1, 3), (2,), (4,))
-    assert p.num_blocks == 4
-    with pytest.raises(ValueError):
-        Partition.from_blocks(4, [(0, 1), (1, 2)])  # overlap
-    with pytest.raises(ValueError):
-        Partition.from_blocks(3, [(0, 5)])  # out of range
-
-
 def test_validation_rejects_non_canonical():
     with pytest.raises(ValueError):
         Partition((1, 1))  # rep above own index
@@ -106,4 +96,4 @@ def test_blocks_partition_the_universe(case):
 def test_same_and_blocks_json():
     p = Partition.from_pairs(4, [(1, 3)])
     assert p.same(1, 3) and not p.same(0, 1)
-    assert p.to_blocks_json() == [[0], [1, 3], [2]]
+    assert p.blocks() == ((0,), (1, 3), (2,))

@@ -1,10 +1,12 @@
-"""The library names the benchmark under perfbench/ calls must keep resolving."""
+"""Checks on the library source: the names the benchmark under perfbench/ calls
+must keep resolving, and no module imports a name it does not read."""
 
 import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _resolve(module: str, attr: str) -> None:
@@ -44,3 +46,20 @@ def test_benchmark_surface_resolves():
         _resolve(module, attr)
     for module in consts["CALLER_MODULES"]:
         importlib.import_module(f"uaforge.{module}")
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export; every other module reads what it imports
+    for path in sorted((ROOT / "src" / "uaforge").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - read, f"{path.name} imports {sorted(imported - read)} unread"
