@@ -392,6 +392,8 @@ def parse_id(ident: str) -> tuple[str, dict[str, int]]:
         key, eq, val = piece.partition("=")
         if not eq:
             raise AlgebraError(f"malformed parameter {piece!r} in {ident!r}")
+        if key in params:
+            raise AlgebraError(f"parameter {key!r} given twice in {ident!r}")
         try:
             params[key] = int(val)
         except ValueError:

@@ -143,6 +143,8 @@ def eval_cmd(file, src, assign):
         name = name.strip()
         if not eq or name not in free:
             raise click.UsageError(f"unknown or malformed assignment {piece!r}")
+        if free[name] in env:
+            raise click.UsageError(f"variable {name!r} assigned twice")
         env[free[name]] = _element(alg, value)
     missing = [name for name, idx in free.items() if idx not in env]
     if missing:

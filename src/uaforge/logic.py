@@ -20,14 +20,24 @@ in binder order.
 eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
 conjunction of equations into a plan on each call, evaluating terms over
-numpy arrays; other formulas go to the reference.  An equation over one bound
-variable cuts that variable's domain.  An equation v = t with v bound and
-not in t defines v, which is then computed from t instead of enumerated.
-Every other equation is a boolean factor over a sparse numpy grid of its
-variables' domains.  Bound variables are eliminated smallest step first
-(bucket elimination): a step ands the factors that mention its variable and
-projects out every variable needed nowhere else.  A step over BATCH_LIMIT
-cells is sliced along one variable.
+numpy arrays; other formulas go to the reference.
+
+An equation whose grid over the full domains has more than BATCH_LIMIT cells
+and one side ground (every variable assigned by env) is split first: t = c
+becomes the membership t in {c}, and a membership t in U passes to the
+arguments of t along the preimage of U, read off the operation's grid.  A
+binary preimage that is one rectangle R x C gives memberships of both
+arguments; two rectangles give two branches, whose results are or-ed.
+
+An equation or membership over one bound variable cuts that variable's
+domain.  An equation v = t with v bound and not in t defines v, which is
+then computed from t instead of enumerated; a definition over more than
+BATCH_LIMIT cells whose term takes one value on the domains is a cut.  Every other conjunct is a
+boolean factor over a sparse numpy grid of its variables' domains.  Bound
+variables are eliminated smallest step first (bucket elimination): a step
+ands the factors that mention its variable, and those inside the step's
+grid, and projects out every variable needed nowhere else.  A step over
+BATCH_LIMIT cells is sliced along one variable.
 """
 
 from __future__ import annotations
@@ -239,6 +249,20 @@ class _Plan(NamedTuple):
     definitions: dict  # v -> (term, the term's scope)
 
 
+class _Member(NamedTuple):
+    """The conjunct t in allowed, allowed a boolean array over the universe."""
+
+    term: Term
+    allowed: np.ndarray
+
+
+def _holds(alg: FiniteAlgebra, c, env):
+    """Where the equation or membership c holds, broadcast over the arrays in env."""
+    if isinstance(c, Eq):
+        return eval_term_batch(alg, c.lhs, env) == eval_term_batch(alg, c.rhs, env)
+    return c.allowed[eval_term_batch(alg, c.term, env)]
+
+
 def _define(c: Eq, walk: list[int], scope, definitions: dict) -> bool:
     """Record c as a definition v = t when v is a solver variable that occurs
     once in c and that t does not come to depend on through other definitions."""
@@ -256,41 +280,113 @@ def _define(c: Eq, walk: list[int], scope, definitions: dict) -> bool:
     return False
 
 
-def _compile(f: Formula, kept: tuple) -> _Plan | None:
-    """The plan of an existential conjunction of equations; None for any other formula."""
-    conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
-    if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
-        return None
-    kept = tuple(v for v in kept if v not in f.vars)
-    solver_vars = set(f.vars) | set(kept)
+def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict) -> list[list]:
+    """t in allowed as alternatives (lists of memberships) whose disjunction is
+    exact.  It passes to the argument of a unary operation, or of a binary one
+    with a ground argument, along the preimage read off the grid.  A binary
+    preimage with one or two distinct nonempty rows C is the union of the
+    maximal rectangles R x C: memberships of the arguments in R and in C.  A
+    term over at most one solver variable, any other preimage, and a split
+    into over 64 alternatives stay whole."""
+    if allowed.all():
+        return [[]]
+    whole = [[_Member(t, allowed)]]
+    if len(term_variables(t) - env.keys()) <= 1 or len(t.args) > 2:
+        return whole
+    pre = allowed[alg.grids[t.symbol]]
+    if len(t.args) == 1:
+        return _members(alg, t.args[0], pre, env)
+    left, right = t.args
+    if term_variables(left) <= env.keys():
+        return _members(alg, right, pre[eval_term(alg, left, env)], env)
+    if term_variables(right) <= env.keys():
+        return _members(alg, left, pre[:, eval_term(alg, right, env)], env)
+    # the distinct nonempty rows, keyed by their bytes: np.unique(axis=0) imports numpy.ma
+    patterns = list({pre[r].tobytes(): pre[r] for r in np.flatnonzero(pre.any(axis=1))}.values())
+    if len(patterns) > 2:
+        return whole
+    alternatives = [
+        a + b
+        for p in patterns
+        for a in _members(alg, left, pre[:, p].all(axis=1), env)
+        for b in _members(alg, right, p, env)
+    ]
+    return alternatives if len(alternatives) <= 64 else whole
+
+
+def _plan(conjuncts: list, kept: tuple, solver_vars: set) -> _Plan:
+    """The plan of one branch: its conjuncts sorted into ground checks, domain
+    cuts, definitions and factors."""
     occurring: dict[int, None] = {}
     ground, unary, factors, definitions = [], [], [], {}
     for c in conjuncts:
         walk: list[int] = []
-        _term_vars_ordered(c.lhs, walk)
-        _term_vars_ordered(c.rhs, walk)
+        for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.term,):
+            _term_vars_ordered(t, walk)
         scope = tuple(dict.fromkeys(v for v in walk if v in solver_vars))
         occurring.update(dict.fromkeys(scope))
         if not scope:
             ground.append(c)
         elif len(scope) == 1:
             unary.append((scope[0], c))
-        elif not _define(c, walk, scope, definitions):
+        elif not (isinstance(c, Eq) and _define(c, walk, scope, definitions)):
             factors.append((scope, c))
     variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
     return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions)
 
 
+def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Plan] | None:
+    """The plans of the branches, to be or-ed, of an existential conjunction
+    of equations; None for any other formula.  env assigns no variable of
+    kept or f.vars.  An equation over more than BATCH_LIMIT cells with a side
+    that env makes ground, of value c, becomes its other side's memberships
+    in {c} (see _members), as long as the plan keeps at most 64 branches."""
+    conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
+    if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
+        return None
+    solver_vars = set(f.vars) | set(kept)
+    branches: list[list] = [[]]
+    for c in conjuncts:
+        alternatives, walk = [[c]], []
+        _term_vars_ordered(c.lhs, walk)
+        _term_vars_ordered(c.rhs, walk)
+        if alg.size ** len(solver_vars.intersection(walk)) > BATCH_LIMIT:
+            for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+                if term_variables(side) <= env.keys():
+                    value = np.arange(alg.size) == eval_term(alg, side, env)
+                    split = _members(alg, other, value, env)
+                    if len(branches) * len(split) <= 64:
+                        alternatives = split
+                    break
+        branches = [b + a for b in branches for a in alternatives]
+    return [_plan(b, kept, solver_vars) for b in branches]
+
+
+def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
+    """A boolean over the universe that holds at every value t takes with its
+    variables in env or in their domains in dom."""
+    if isinstance(t, Variable):
+        if t.index in env:
+            return np.arange(alg.size) == env[t.index]
+        return dom.get(t.index, np.ones(alg.size, dtype=bool))
+    args = (np.flatnonzero(_image(alg, a, env, dom)) for a in t.args)
+    image = np.zeros(alg.size, dtype=bool)
+    image[alg.grids[t.symbol][np.ix_(*args)]] = True
+    return image
+
+
 def _step(x, factors, definitions, kept):
-    """The factors and definitions touching x (all when x is None), the grid
-    variables, and the variables still needed elsewhere, which the step keeps."""
-    fs = [fa for fa in factors if x is None or x in fa[0]]
+    """The definitions and factors touching x (all when x is None) with every
+    factor over their variables, the grid variables, and the variables still
+    needed elsewhere, which the step keeps."""
     ds = {v: d for v, d in definitions.items() if x is None or x == v or x in d[1]}
     scope = dict.fromkeys(kept if x is None else (x,))
-    for vs in [s for s, _c in fs] + [(v, *uses) for v, (_t, uses) in ds.items()]:
+    touching = [s for s, _c in factors if x is None or x in s]
+    for vs in touching + [(v, *uses) for v, (_t, uses) in ds.items()]:
         scope.update(dict.fromkeys(vs))
+    fs = [fa for fa in factors if scope.keys() >= set(fa[0])]
     elsewhere = set(kept).union(
-        *(s for s, _c in factors if x not in s),
+        *(s for s, _c in factors if not scope.keys() >= set(s)),
         *((v, *d[1]) for v, d in definitions.items() if v not in ds),
     )
     out = kept if x is None else tuple(v for v in scope if v in elsewhere)
@@ -320,7 +416,7 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
         if isinstance(c, np.ndarray):
             mask = mask & c[tuple(benv[v] for v in scope)]
         else:
-            mask = mask & (eval_term_batch(alg, c.lhs, benv) == eval_term_batch(alg, c.rhs, benv))
+            mask = mask & _holds(alg, c, benv)
     mask = np.broadcast_to(mask, shape)
     if not out:
         result |= mask.any()
@@ -333,16 +429,23 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     """The factor over plan.kept; None when a step's result would be over BATCH_LIMIT."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
-    if not all(_eval(alg, c, env) for c in plan.ground):
+    if not all(_holds(alg, c, env) for c in plan.ground):
         return nothing
     dom = {v: np.ones(size, dtype=bool) for v in plan.variables}
     for v, c in plan.unary:
-        uenv = {**env, v: np.arange(size)}
-        dom[v] &= eval_term_batch(alg, c.lhs, uenv) == eval_term_batch(alg, c.rhs, uenv)
+        dom[v] &= _holds(alg, c, {**env, v: np.arange(size)})
         if not dom[v].any():
             return nothing
-    values = {v: np.flatnonzero(d) for v, d in dom.items()}
     factors, definitions = list(plan.factors), dict(plan.definitions)
+    for v, (t, uses) in plan.definitions.items():
+        if size ** len(uses) > BATCH_LIMIT:  # then one constant on the domains is a cut
+            image = _image(alg, t, env, dom)
+            dom[v] &= image
+            if not dom[v].any():
+                return nothing
+            if image.sum() == 1:
+                del definitions[v]
+    values = {v: np.flatnonzero(d) for v, d in dom.items()}
     todo = [v for v in plan.variables if v not in plan.kept]
     while True:
         steps = [_step(x, factors, definitions, plan.kept) for x in todo or [None]]
@@ -389,19 +492,27 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     MAX_UNIVERSE equations, SizeGuardError is raised instead.
     """
     kept = tuple(kept)
-    env = {v: a for v, a in _normalize_env(env).items() if v not in kept}
-    plan = _compile(f, kept)
+    bound = f.vars if isinstance(f, Exists) else ()
+    env = {v: a for v, a in _normalize_env(env).items() if v not in kept and v not in bound}
+    solved = tuple(v for v in kept if v not in bound)
     shape = (alg.size,) * len(kept)
-    if plan is not None:
-        for v in f.vars:
-            env.pop(v, None)
-        result = _solve(alg, plan, env)
-        if result is None and plan.kept:  # a step over the kept variables is too big: slice
-            v, rest = plan.kept[0], plan.kept[1:]
+    plans = _compile(alg, f, solved, env)
+    if plans is not None:
+        result = np.zeros((alg.size,) * len(solved), dtype=bool)
+        for plan in plans:
+            if result.all():
+                break
+            branch = _solve(alg, plan, env)
+            if branch is None:
+                result = None
+                break
+            result |= branch
+        if result is None and solved:  # a step over the kept variables is too big: slice
+            v, rest = solved[0], solved[1:]
             slices = [project_exists(alg, f, rest, {**env, v: a}) for a in range(alg.size)]
             result = np.stack(slices)
         if result is not None:
-            axes = [alg.size if v in plan.kept else 1 for v in kept]
+            axes = [alg.size if v in solved else 1 for v in kept]
             return np.broadcast_to(result.reshape(axes), shape)
     if alg.size ** len(kept) * _reference_cost(alg.size, f) > MAX_UNIVERSE:
         raise SizeGuardError(

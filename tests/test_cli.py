@@ -69,6 +69,10 @@ def test_build_unknown_id(runner):
         assert "size guard" in big.output
         assert "Traceback" not in big.output
 
+    twice = runner.invoke(main, ["build", "An?n=3&n=2"])
+    assert twice.exit_code == 2
+    assert "given twice" in twice.output
+
 
 def test_sg(runner, files):
     res = runner.invoke(main, ["sg", files["sec2.A"]])
@@ -157,6 +161,10 @@ def test_eval(runner, files):
 
     unknown = runner.invoke(main, base + ["--assign", "x=0,y=a1,q=0"])
     assert unknown.exit_code == 2
+
+    twice = runner.invoke(main, ["eval", files["sec2.A"], "--formula", "x = x",
+                                 "--assign", "x=0,x=1"])
+    assert twice.exit_code == 2 and "assigned twice" in twice.output
 
     bad = runner.invoke(main, ["eval", files["sec2.B"], "--formula", "foo(x) = x",
                                "--assign", "x=0"])
@@ -294,6 +302,7 @@ def test_check_rejects_bad_requests(runner):
         ["check", "S3.HEYTING?n=2"],
         ["check", "S3.HEYTING?n=20000"],
         ["check", "--n", "20000"],
+        ["check", "S3.EPIC?n=3&n=4"],
     ):
         res6 = runner.invoke(main, args)
         assert res6.exit_code == 2, args

@@ -55,11 +55,10 @@ def small_algebras(draw, max_size=4):
     return make_algebra("rand", SIG, size, tables)
 
 
-def terms(max_var, depth):
-    leaf = st.one_of(
-        st.builds(Variable, st.integers(0, max_var - 1)),
-        st.just(Apply("c", ())),
-    )
+def terms(variables, depth):
+    leaf = st.just(Apply("c", ()))
+    if variables:
+        leaf = st.one_of(st.builds(Variable, st.sampled_from(variables)), leaf)
     return st.recursive(
         leaf,
         lambda kids: st.one_of(
@@ -72,27 +71,22 @@ def terms(max_var, depth):
 
 @st.composite
 def pp_formulas(draw, max_var=4):
-    t = terms(max_var, 4)
-    atoms = st.builds(Eq, t, t)
+    n_bound = draw(st.integers(0, max_var))
+    bound = draw(
+        st.lists(st.integers(0, max_var - 1), min_size=n_bound, max_size=n_bound, unique=True)
+    )
+    t = terms(range(max_var), 4)
+    # some right-hand sides are over free variables only: ground once they are assigned
+    ground = terms([v for v in range(max_var) if v not in bound], 2)
+    atoms = st.builds(Eq, t, st.one_of(t, ground))
     body = draw(st.lists(atoms, min_size=1, max_size=4))
     f = body[0] if len(body) == 1 else And(tuple(body))
-    n_bound = draw(st.integers(0, max_var))
-    if n_bound:
-        bound = draw(
-            st.lists(
-                st.integers(0, max_var - 1),
-                min_size=n_bound,
-                max_size=n_bound,
-                unique=True,
-            )
-        )
-        f = Exists(tuple(bound), f)
-    return f
+    return Exists(tuple(bound), f) if bound else f
 
 
 @st.composite
 def any_formulas(draw, max_var=3, depth=2):
-    t = terms(max_var, 3)
+    t = terms(range(max_var), 3)
     atom = st.builds(Eq, t, t)
 
     def extend(kids):
@@ -151,7 +145,7 @@ def test_eval_formula_requires_assignment():
 # --- batch term evaluation ---------------------------------------------------
 
 
-@given(small_algebras(), terms(2, 6))
+@given(small_algebras(), terms(range(2), 6))
 @settings(max_examples=50)
 def test_batch_matches_scalar(alg, t):
     grid = list(itertools.product(range(alg.size), repeat=2))
@@ -214,8 +208,8 @@ def _reference_projection(alg, f, kept, env):
 
 
 def test_solver_slices_steps_over_the_batch_limit():
-    seen = {"sliced": 0, "largest": 0}
-    run_step, term_batch = logic._run_step, logic.eval_term_batch
+    seen = {"sliced": 0, "largest": 0, "split": 0, "branched": 0}
+    run_step, term_batch, members = logic._run_step, logic.eval_term_batch, logic._members
 
     def spy_step(alg, env, fs, ds, grid, out, values, dom, result):
         seen["sliced"] += np.prod([len(values[v]) for v in grid]) > logic.BATCH_LIMIT
@@ -226,6 +220,12 @@ def test_solver_slices_steps_over_the_batch_limit():
         value = term_batch(alg, t, env)
         seen["largest"] = max(seen["largest"], np.size(value))
         return value
+
+    def spy_members(alg, t, allowed, env):
+        alternatives = members(alg, t, allowed, env)
+        seen["split"] += 1
+        seen["branched"] += len(alternatives) > 1
+        return alternatives
 
     @given(small_algebras(), pp_formulas(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -244,9 +244,10 @@ def test_solver_slices_steps_over_the_batch_limit():
         mp.setattr(logic, "BATCH_LIMIT", logic.BATCH_LIMIT)
         mp.setattr(logic, "_run_step", spy_step)
         mp.setattr(logic, "eval_term_batch", spy_terms)
+        mp.setattr(logic, "_members", spy_members)
         check()
-        # phi(k, 3) with its z-blocks cut into slices of at most 64 cells,
-        # too few for the (w2, y) factor of k = 2, so y is fixed value by value
+        # phi(k, 3) with its steps cut into slices of at most 64 cells; at this
+        # limit the cover conjunct of each z-block is split and branches
         logic.BATCH_LIMIT, seen["largest"] = 64, 0
         a3 = catalog.build("An?n=3")
         for k in (1, 2):
@@ -254,8 +255,15 @@ def test_solver_slices_steps_over_the_batch_limit():
             for x in range(a3.size):
                 got = np.flatnonzero(project_exists(a3, f, (1,), {0: x}))
                 assert got.tolist() == [catalog.expected_phi_value(a3, k, x)]
+        # a side over assigned free variables is ground too
+        split, f = seen["split"], parse_formula("exists u v w . join(join(u, v), w) = x", HSIG)
+        for x in range(a3.size):
+            assert eval_exists_decomposed(a3, f, {0: x}) == eval_formula(a3, f, {0: x})
+        assert seen["split"] > split
         assert seen["largest"] <= 64
     assert seen["sliced"] > 0
+    # equations over more than BATCH_LIMIT cells with a ground side were split, some into branches
+    assert seen["split"] > 0 and seen["branched"] > 0
 
 
 @pytest.mark.parametrize(
@@ -287,15 +295,26 @@ def test_definition_edge_cases(src):
         assert (got == _reference_projection(a3, f, (1,), {0: x})).all()
 
 
-def test_phi_k4_matches_the_atom_count_table():
+def test_phi_k4_matches_the_atom_count_table(monkeypatch):
+    # the cover conjunct of each z-block is split, and a definition that takes
+    # one value on the domains is a cut, so no term is evaluated over a whole
+    # block of five z variables (15^5 cells without either)
+    largest = [0]
+    term_batch = logic.eval_term_batch
+
+    def spy_terms(alg, t, env):
+        value = term_batch(alg, t, env)
+        largest[0] = max(largest[0], np.size(value))
+        return value
+
+    monkeypatch.setattr(logic, "eval_term_batch", spy_terms)
     a4 = catalog.build("An?n=4")
     by_atoms = {}
     for a in range(a4.size):
         by_atoms.setdefault(len(catalog.atoms_below(a4, a)), a)
-    xs = [a4.index_of(name) for name in ("0", "e", "1")] + [by_atoms[j] for j in (1, 2, 3)]
     for k in (1, 2, 3):
         f = catalog.build(f"phi?k={k}&n=4")[0]
-        for x in xs:
+        for x in range(a4.size):
             want = catalog.expected_phi_value(a4, k, x)
             outputs = project_exists(a4, f, (1,), {0: x})  # all 17 values of y
             assert np.flatnonzero(outputs).tolist() == [want]
@@ -303,6 +322,7 @@ def test_phi_k4_matches_the_atom_count_table():
         x = by_atoms[k]
         assert eval_exists_decomposed(a4, f, {0: x, 1: catalog.expected_phi_value(a4, k, x)})
         assert not eval_exists_decomposed(a4, f, {0: x, 1: x})
+    assert largest[0] <= a4.size**4
 
 
 # --- induced functions -------------------------------------------------------
