@@ -19,8 +19,10 @@ import numpy as np
 from .catalog import atoms_below
 from .congruences import congruence_lattice, quotient_is_fsi, quotient_is_si
 from .core import (
+    MAX_UNIVERSE,
     AlgebraError,
     FiniteAlgebra,
+    SizeGuardError,
     all_subuniverses,
     guard_size,
     quotient,
@@ -57,7 +59,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     """All homomorphisms A -> B, in deterministic order.
 
     kind restricts to injective or bijective maps (pruned during search, not
-    post-filtered).
+    post-filtered).  Raises SizeGuardError when the search visits over
+    MAX_UNIVERSE nodes (partial maps closed under propagation).
     """
     if kind not in ("all", "injective", "bijective"):
         raise AlgebraError(f"unknown hom kind {kind!r}")
@@ -84,7 +87,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
 
     def propagate(img, queue) -> bool:
         # force images of everything the mapped set generates; fail on clash
-        while queue:
+        # (with no non-constant operation, nothing is forced)
+        while nonconst and queue:
             e = queue.pop()
             mapped = [x for x in range(A.size) if img[x] is not None]
             others = [x for x in mapped if x != e]
@@ -98,9 +102,15 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
                             return False
         return True
 
+    nodes = 0
+
     def search(img):
+        nonlocal nodes
         if first_only and out:
             return
+        nodes += 1
+        if nodes > MAX_UNIVERSE:
+            raise SizeGuardError(f"hom search {A.name} -> {B.name} visits over {MAX_UNIVERSE} nodes")
         try:
             e = img.index(None)
         except ValueError:
@@ -235,7 +245,7 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
                 cls = len(reps) - 1
             entries.append(
                 HSEntry(
-                    subuniverse=s.elements,
+                    subuniverse=s,
                     congruence=theta,
                     size=q.size,
                     fsi=quotient_is_fsi(lat, theta),
@@ -340,7 +350,7 @@ def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]
     (C, A) come from one list of big's subuniverses.
     """
     ends = endomorphisms(big)
-    subs = [s.elements for s in all_subuniverses(big)]
+    subs = all_subuniverses(big)
     witnesses: list[EpicWitness] = []
     for c in subs:
         for a in subs:

@@ -329,7 +329,7 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
     for symbol, formula, arity in ops:
         if not is_pp(formula):
             raise AlgebraError(f"{symbol!r} is not defined by a pp formula")
-        values = induced_partial_function(alg, formula, arity).values
+        values = induced_partial_function(alg, formula, arity)
         try:
             tables[symbol] = tuple(values[args] for args in product(range(alg.size), repeat=arity))
         except KeyError as exc:  # the first argument tuple without an output

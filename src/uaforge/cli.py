@@ -46,17 +46,28 @@ def _element(alg: FiniteAlgebra, token: str) -> int:
         if not 0 <= idx < alg.size:
             raise click.UsageError(f"element index {idx} out of range for {alg.name}")
         return idx
-    try:
-        return alg.index_of(token)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    return alg.index_of(token)
 
 
 def _blocks_json(alg: FiniteAlgebra, part: Partition) -> list:
     return [[alg.element_name(x) for x in b] for b in part.blocks()]
 
 
-@click.group()
+class _Command(click.Command):
+    """A command that turns a library refusal (AlgebraError) into exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AlgebraError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Finite universal-algebra workbench."""
 
@@ -66,10 +77,7 @@ def main():
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 def build(catalog_id, output):
     """Emit a catalog object (algebra JSON, partition JSON, or formula text)."""
-    try:
-        obj = catalog.build(catalog_id)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    obj = catalog.build(catalog_id)
     if isinstance(obj, FiniteAlgebra):
         text = dumps_algebra(obj)
     elif isinstance(obj, Partition):
@@ -94,7 +102,7 @@ def sg(file, gens):
     """Subuniverse generated by the listed elements (plus all constants)."""
     alg = _load(file)
     generators = [_element(alg, t) for t in gens.split(",") if t.strip()]
-    elems = sg_closure(alg, generators).elements
+    elems = sg_closure(alg, generators)
     click.echo(
         json.dumps(
             {"elements": list(elems), "names": [alg.element_name(e) for e in elems]}
@@ -116,10 +124,7 @@ def con(file, principal):
         theta = principal_congruence(alg, a, b)
         click.echo(json.dumps({"blocks": _blocks_json(alg, theta)}))
         return
-    try:
-        lat = congruence_lattice(alg)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    lat = congruence_lattice(alg)
     out = [{"blocks": _blocks_json(alg, p)} for p in lat]
     click.echo(json.dumps({"count": len(lat), "congruences": out}))
 
@@ -131,10 +136,7 @@ def con(file, principal):
 def eval_cmd(file, src, assign):
     """Evaluate a formula under an assignment of its free variables."""
     alg = _load(file)
-    try:
-        formula, free = parse_formula_named(src, alg.signature)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    formula, free = parse_formula_named(src, alg.signature)
     env = {}
     for piece in assign.split(","):
         if not piece.strip():
@@ -149,11 +151,7 @@ def eval_cmd(file, src, assign):
     missing = [name for name, idx in free.items() if idx not in env]
     if missing:
         raise click.UsageError(f"free variables without assignment: {', '.join(sorted(missing))}")
-    try:
-        result = eval_exists_decomposed(alg, formula, env)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
-    click.echo("true" if result else "false")
+    click.echo("true" if eval_exists_decomposed(alg, formula, env) else "false")
 
 
 @main.command()
@@ -169,10 +167,7 @@ def functional(files, src, arity, var_names):
     failures = 0
     for path in files:
         alg = _load(path)
-        try:
-            formula, free = parse_formula_named(src, alg.signature)
-        except AlgebraError as exc:
-            raise click.UsageError(str(exc))
+        formula, free = parse_formula_named(src, alg.signature)
         var_order = None
         if var_names is not None:
             order = [v.strip() for v in var_names.split(",") if v.strip()]
@@ -196,9 +191,7 @@ def functional(files, src, arity, var_names):
             )
             failures += 1
             continue
-        except AlgebraError as exc:
-            raise click.UsageError(str(exc))
-        total = "total" if table.is_total_on(alg.size) else f"domain {len(table.domain)}/{alg.size ** arity}"
+        total = "total" if len(table) == alg.size**arity else f"domain {len(table)}/{alg.size ** arity}"
         click.echo(f"{alg.name}: functional, {total}")
     sys.exit(1 if failures else 0)
 
@@ -212,10 +205,7 @@ def functional(files, src, arity, var_names):
 def homs(source, target, kind):
     """Enumerate homomorphisms between two algebra files."""
     A, B = _load(source), _load(target)
-    try:
-        found = _homs(A, B, kind)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    found = _homs(A, B, kind)
     click.echo(
         json.dumps(
             {
@@ -240,15 +230,12 @@ def check(claim_id, run_all_flag, deep, n_opt, as_json):
     n = n_opt if n_opt is not None else (4 if deep else 3)
     if claim_id and run_all_flag:
         raise click.UsageError("give a claim id or --all, not both")
-    try:
-        run_n = catalog.parse_id(claim_id)[1].get("n", n) if claim_id else n
-        for value in (n, run_n):
-            if value < 3:
-                raise AlgebraError("the parameterized claims need n >= 3")
-            catalog.check_n(value)
-        results = [claims.run_claim(claim_id, n=n)] if claim_id else claims.run_all(n=n)
-    except AlgebraError as exc:
-        raise click.UsageError(str(exc))
+    run_n = catalog.parse_id(claim_id)[1].get("n", n) if claim_id else n
+    for value in (n, run_n):
+        if value < 3:
+            raise click.UsageError("the parameterized claims need n >= 3")
+        catalog.check_n(value)
+    results = [claims.run_claim(claim_id, n=n)] if claim_id else claims.run_all(n=n)
     if as_json:
         click.echo(json.dumps(claims.report_dict(results), indent=2))
     else:

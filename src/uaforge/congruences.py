@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteAlgebra, guard_size
+from .core import MAX_UNIVERSE, FiniteAlgebra, SizeGuardError, guard_size
 from .partitions import Partition, _canonical, _find
 
 
@@ -95,15 +95,22 @@ class CongruenceLattice:
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: identity plus the join closure of the principal ones."""
+    """All congruences: identity plus the join closure of the principal ones.
+
+    Raises SizeGuardError before a round of joins that would take the total
+    over MAX_UNIVERSE.
+    """
     guard_size(alg.size, alg.name)
     size = alg.size
     trans = _translations(alg)
     principals = {_closure(trans, a, b) for a in range(size) for b in range(a + 1, size)}
     congs = {Partition.identity(size)} | principals
     # every congruence is a join of principal ones: join each new one with each
-    frontier = principals
+    frontier, joins = principals, 0
     while frontier:
+        joins += len(frontier) * len(principals)
+        if joins > MAX_UNIVERSE:
+            raise SizeGuardError(f"{alg.name}: the congruence lattice needs over {MAX_UNIVERSE} joins")
         frontier = {c.join(p) for c in frontier for p in principals} - congs
         congs |= frontier
     # refinement-compatible total order: finer congruences have more blocks

@@ -227,16 +227,13 @@ def make_algebra(name, signature, size, tables, element_names=None) -> FiniteAlg
     return FiniteAlgebra(name, signature, size, tabs, names)
 
 
-def eval_term(alg: FiniteAlgebra, t: Term, env) -> int:
-    """Evaluate a term under env (mapping or sequence from variable index to element)."""
+def eval_term(alg: FiniteAlgebra, t: Term, env: dict) -> int:
+    """Evaluate a term under env, a dict from variable index to element."""
     if isinstance(t, Variable):
         try:
-            v = env[t.index]
-        except (KeyError, IndexError):
+            return env[t.index]
+        except KeyError:
             raise UnassignedVariableError(f"variable v{t.index} unassigned") from None
-        if v is None:
-            raise UnassignedVariableError(f"variable v{t.index} unassigned")
-        return v
     arity = alg.signature.arity(t.symbol)
     if len(t.args) != arity:
         raise ArityError(f"{t.symbol!r} expects {arity} arguments, got {len(t.args)}")
@@ -250,13 +247,9 @@ def eval_term(alg: FiniteAlgebra, t: Term, env) -> int:
 # subuniverses
 
 
-@dataclass(frozen=True)
-class SubuniverseResult:
-    elements: tuple[int, ...]
-
-
-def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
-    """Subuniverse generated by the given elements (constants always included)."""
+def sg_closure(alg: FiniteAlgebra, generators=()) -> tuple[int, ...]:
+    """Subuniverse generated by the given elements (constants always included),
+    as its sorted elements."""
     size = alg.size
     member = np.zeros(size, dtype=bool)
     for g in generators:
@@ -273,14 +266,14 @@ def sg_closure(alg: FiniteAlgebra, generators=()) -> SubuniverseResult:
             member[grid[np.ix_(*[current] * grid.ndim)]] = True
         grown = np.flatnonzero(member)
         if len(grown) == len(current):
-            return SubuniverseResult(tuple(current.tolist()))
+            return tuple(current.tolist())
         current = grown
 
 
 def is_closed_subset(alg: FiniteAlgebra, elements) -> bool:
     """A subset is closed when it generates itself."""
     elems = tuple(sorted(set(elements)))
-    return sg_closure(alg, elems).elements == elems
+    return sg_closure(alg, elems) == elems
 
 
 def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -290,10 +283,7 @@ def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, 
     element of the subalgebra; the subuniverse is re-indexed in ascending
     parent order.
     """
-    if isinstance(elements, SubuniverseResult):
-        elems = list(elements.elements)
-    else:
-        elems = sorted(set(elements))
+    elems = sorted(set(elements))
     if not is_closed_subset(alg, elems):
         raise NotClosedError(f"{elems} is not a subuniverse of {alg.name!r}")
     old_to_new = np.zeros(alg.size, dtype=np.int64)
@@ -315,15 +305,16 @@ def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, 
     return sub, tuple(elems)
 
 
-def all_subuniverses(alg: FiniteAlgebra) -> list[SubuniverseResult]:
+def all_subuniverses(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """Every subuniverse, found by closing one-point extensions of Sg(empty).
 
     Any subuniverse T contains Sg(empty); from a known S properly inside T,
     closing S + {x} for x in T-S stays inside T and grows, so induction on
-    size reaches T.  Results are sorted by (size, elements).
+    size reaches T.  Each is a sorted tuple, and the list is sorted by
+    (size, elements).
     """
     guard_size(alg.size, alg.name)
-    base = frozenset(sg_closure(alg).elements)
+    base = frozenset(sg_closure(alg))
     known = {base}
     frontier = [base]
     while frontier:
@@ -332,13 +323,12 @@ def all_subuniverses(alg: FiniteAlgebra) -> list[SubuniverseResult]:
             for x in range(alg.size):
                 if x in s:
                     continue
-                bigger = frozenset(sg_closure(alg, sorted(s | {x})).elements)
+                bigger = frozenset(sg_closure(alg, sorted(s | {x})))
                 if bigger not in known:
                     known.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
-    ordered = sorted(known, key=lambda s: (len(s), sorted(s)))
-    return [SubuniverseResult(tuple(sorted(s))) for s in ordered]
+    return sorted((tuple(sorted(s)) for s in known), key=lambda s: (len(s), s))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ with precedence ! > /\\ > \\/ > ->, right-associative ->, and quantifier
 bodies extending as far right as possible.  Identifiers are resolved against
 the algebra's operation symbols first; anything else is a variable.  Free
 variables are numbered 0,1,.. in order of first use, bound variables follow
-in binder order.
+in binder order.  Each parenthesis, "!", quantifier, "->" and argument list
+nests one level deeper, and the parser refuses more than NESTING_LIMIT levels.
 
 eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
@@ -32,12 +33,13 @@ arguments; two rectangles give two branches, whose results are or-ed.
 An equation or membership over one bound variable cuts that variable's
 domain.  An equation v = t with v bound and not in t defines v, which is
 then computed from t instead of enumerated; a definition over more than
-BATCH_LIMIT cells whose term takes one value on the domains is a cut.  Every other conjunct is a
-boolean factor over a sparse numpy grid of its variables' domains.  Bound
-variables are eliminated smallest step first (bucket elimination): a step
-ands the factors that mention its variable, and those inside the step's
-grid, and projects out every variable needed nowhere else.  A step over
-BATCH_LIMIT cells is sliced along one variable.
+BATCH_LIMIT cells whose term takes one value on the domains is a cut.  Every
+other conjunct is a boolean factor over a sparse numpy grid of its variables'
+domains.  A bound variable that no factor or definition mentions is settled
+once its domain is nonempty.  The others are eliminated smallest step first
+(bucket elimination): a step ands the factors that mention its variable, and
+those inside the step's grid, and projects out every variable needed nowhere
+else.  A step over BATCH_LIMIT cells is sliced along one variable.
 """
 
 from __future__ import annotations
@@ -159,14 +161,6 @@ def _flatten_and(f: Formula) -> list[Formula]:
 # plain evaluation
 
 
-def _normalize_env(env) -> dict[int, int]:
-    if env is None:
-        return {}
-    if isinstance(env, dict):
-        return {k: v for k, v in env.items() if v is not None}
-    return {i: v for i, v in enumerate(env) if v is not None}
-
-
 def _eval(alg: FiniteAlgebra, f: Formula, env: dict[int, int]) -> bool:
     if isinstance(f, Eq):
         return eval_term(alg, f.lhs, env) == eval_term(alg, f.rhs, env)
@@ -205,8 +199,9 @@ def _eval_quant(alg, vars, body, env, existential):
 
 
 def eval_formula(alg: FiniteAlgebra, f: Formula, env=None) -> bool:
-    """Reference evaluator: quantifiers are nested loops over the universe."""
-    return _eval(alg, f, _normalize_env(env))
+    """Reference evaluator: quantifiers are nested loops over the universe.
+    env is a dict from variable index to element."""
+    return _eval(alg, f, dict(env or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +441,10 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             if image.sum() == 1:
                 del definitions[v]
     values = {v: np.flatnonzero(d) for v, d in dom.items()}
-    todo = [v for v in plan.variables if v not in plan.kept]
+    # a bound variable that no factor or definition mentions has a nonempty
+    # domain, so it is settled already
+    linked = set().union(*(s for s, _c in factors), *((v, *d[1]) for v, d in definitions.items()))
+    todo = [v for v in plan.variables if v in linked and v not in plan.kept]
     while True:
         steps = [_step(x, factors, definitions, plan.kept) for x in todo or [None]]
         steps = [s for s in steps if size ** len(s[3]) <= BATCH_LIMIT]
@@ -493,7 +491,7 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     """
     kept = tuple(kept)
     bound = f.vars if isinstance(f, Exists) else ()
-    env = {v: a for v, a in _normalize_env(env).items() if v not in kept and v not in bound}
+    env = {v: a for v, a in (env or {}).items() if v not in kept and v not in bound}
     solved = tuple(v for v in kept if v not in bound)
     shape = (alg.size,) * len(kept)
     plans = _compile(alg, f, solved, env)
@@ -532,22 +530,6 @@ def eval_exists_decomposed(alg: FiniteAlgebra, f: Formula, env=None) -> bool:
 # definable functions
 
 
-@dataclass(frozen=True)
-class PartialFunctionTable:
-    arity: int
-    values: dict
-
-    @property
-    def domain(self) -> frozenset:
-        return frozenset(self.values)
-
-    def value(self, args) -> int:
-        return self.values[tuple(args)]
-
-    def is_total_on(self, size: int) -> bool:
-        return len(self.values) == size**self.arity
-
-
 class FunctionalityError(AlgebraError):
     # note: "arguments", not "args" -- BaseException.args is the message tuple
     def __init__(self, algebra_name, arguments, first, second):
@@ -571,10 +553,9 @@ class TotalityError(AlgebraError):
         self.arguments = arguments
 
 
-def induced_partial_function(
-    alg: FiniteAlgebra, f: Formula, arity: int, var_order=None
-) -> PartialFunctionTable:
-    """Partial function defined by f(x1..xn, y) with y the last variable.
+def induced_partial_function(alg: FiniteAlgebra, f: Formula, arity: int, var_order=None) -> dict:
+    """Partial function defined by f(x1..xn, y) with y the last variable, as
+    a dict from each argument tuple that has an output to that output.
 
     var_order lists the variable indices playing the roles (x1..xn, y); it
     defaults to (0..arity).  One solve per argument tuple projects f onto y.
@@ -601,7 +582,7 @@ def induced_partial_function(
             raise FunctionalityError(alg.name, args, int(outputs[0]), int(outputs[1]))
         if len(outputs):
             values[args] = int(outputs[0])
-    return PartialFunctionTable(arity, values)
+    return values
 
 
 def check_functional(algs, f: Formula, arity: int) -> bool:
@@ -618,6 +599,8 @@ def check_functional(algs, f: Formula, arity: int) -> bool:
 # parsing
 
 _RESERVED = ("exists", "forall")
+
+NESTING_LIMIT = 100  # the deepest nesting the parser accepts, in levels
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -658,6 +641,7 @@ class _Parser:
         self.free: dict[str, int] = {}
         self.bound_order: list[int] = []
         self.entities = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -676,6 +660,15 @@ class _Parser:
     def _fresh(self):
         self.entities += 1
         return self.entities - 1
+
+    def _nested(self, parse, pos):
+        """parse() one level of nesting deeper; a failed parse is not resumed."""
+        if self.depth >= NESTING_LIMIT:
+            raise ParseError(f"formula nested over {NESTING_LIMIT} levels", pos)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     # grammar
 
@@ -706,7 +699,7 @@ class _Parser:
             raise ParseError(f"{kw!r} needs at least one variable", pos)
         self.expect(".")
         self.scopes.append(scope)
-        body = self.formula()
+        body = self._nested(self.formula, pos)
         self.scopes.pop()
         cls = Exists if kw == "exists" else Forall
         return cls(tuple(placeholders), body)
@@ -714,8 +707,8 @@ class _Parser:
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.implication())
+            pos = self.advance()[2]
+            return Implies(left, self._nested(self.implication, pos))
         return left
 
     def disjunction(self) -> Formula:
@@ -734,14 +727,14 @@ class _Parser:
 
     def negation(self) -> Formula:
         if self.peek()[0] == "!":
-            self.advance()
-            return Not(self.negation())
+            pos = self.advance()[2]
+            return Not(self._nested(self.negation, pos))
         return self.atom()
 
     def atom(self) -> Formula:
         if self.peek()[0] == "(":
-            self.advance()
-            f = self.formula()
+            pos = self.advance()[2]
+            f = self._nested(self.formula, pos)
             self.expect(")")
             return f
         lhs = self.term()
@@ -757,7 +750,7 @@ class _Parser:
         if name in self.sig:
             arity = self.sig.arity(name)
             if self.peek()[0] == "(":
-                args = self._args()
+                args = self._nested(self._args, pos)
                 if len(args) != arity:
                     raise ParseError(
                         f"{name!r} expects {arity} arguments, got {len(args)}", pos
@@ -769,7 +762,7 @@ class _Parser:
         if self.peek()[0] == "(":
             # sugar: neg(t) stands for imp(t, zero) when those symbols exist
             if name == "neg" and "imp" in self.sig and "zero" in self.sig:
-                args = self._args()
+                args = self._nested(self._args, pos)
                 if len(args) != 1:
                     raise ParseError(f"'neg' expects 1 argument, got {len(args)}", pos)
                 return Apply("imp", (args[0], Apply("zero", ())))

@@ -196,7 +196,7 @@ def test_amalgamation_positive_and_negative():
     members = []
     seen = []
     for s in all_subuniverses(b3):
-        sub, _ = subalgebra(b3, s.elements)
+        sub, _ = subalgebra(b3, s)
         if not any(is_isomorphic(sub, m) for m in seen):
             seen.append(sub)
             members.append(sub)

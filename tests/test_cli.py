@@ -247,6 +247,38 @@ def test_eval_and_functional_refuse_unbounded_work(runner, files):
         assert "Traceback" not in res.output and "over the limit" in res.output
 
 
+def test_deeply_nested_formulas_exit_2(runner, files):
+    a = files["sec2.A"]
+    for src in ("(" * 200 + "x = x" + ")" * 200,
+                "box(" * 1000 + "x" + ")" * 1000 + " = x",
+                "!" * 990 + "x = x"):
+        for args in (["eval", a, "--formula", src, "--assign", "x=0"],
+                     ["functional", a, "--formula", src, "--arity", "0"]):
+            start = time.perf_counter()
+            res = runner.invoke(main, args)
+            assert time.perf_counter() - start < 10
+            assert res.exit_code == 2, res.output
+            assert "Traceback" not in res.output and "nested over 100 levels" in res.output
+
+
+def test_operation_free_files_exit_2(runner, tmp_path, monkeypatch):
+    # 10^10 maps and Bell(12) = 4,213,597 congruences: both refused past the
+    # bound, which is lowered here to keep the test fast
+    from uaforge import analysis, congruences
+
+    monkeypatch.setattr(analysis, "MAX_UNIVERSE", 10_000)
+    monkeypatch.setattr(congruences, "MAX_UNIVERSE", 10_000)
+    paths = {}
+    for n in (10, 12):
+        paths[n] = tmp_path / f"E{n}.json"
+        paths[n].write_text(json.dumps({"name": f"E{n}", "size": n, "operations": []}))
+    for args, message in ((["homs", str(paths[10]), str(paths[10])], "over 10000 nodes"),
+                          (["con", str(paths[12])], "over 10000 joins")):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert "Traceback" not in res.output and message in res.output
+
+
 def test_homs(runner, files):
     res = runner.invoke(main, ["homs", files["Bn?n=3"], files["Bn?n=3"], "--auto"])
     assert res.exit_code == 0

@@ -194,7 +194,7 @@ def test_quotient_interval_tests_match_direct_computation():
     from uaforge.core import all_subuniverses
 
     for sub_res in all_subuniverses(b3):
-        sub, _ = subalgebra(b3, sub_res.elements)
+        sub, _ = subalgebra(b3, sub_res)
         lat = congruence_lattice(sub)
         for theta in lat:
             q = quotient(sub, theta)

@@ -131,7 +131,6 @@ def test_eval_formula_connectives_and_quantifiers():
     assert not eval_formula(a3, parse_formula("one = one -> zero = one", HSIG))
     f = parse_formula("meet(x, y) = x", HSIG)
     assert eval_formula(a3, f, {0: 0, 1: 3})
-    assert eval_formula(a3, f, [0, 3])
 
 
 def test_eval_formula_requires_assignment():
@@ -325,6 +324,26 @@ def test_phi_k4_matches_the_atom_count_table(monkeypatch):
     assert largest[0] <= a4.size**4
 
 
+def test_solver_steps_only_over_linked_variables(monkeypatch):
+    # a bound variable that only domain cuts mention is settled once its
+    # domain is nonempty: no step runs over it alone (at x = e, the cut
+    # definitions of phi(k, 4) leave such variables)
+    isolated = []
+    run_step = logic._run_step
+
+    def spy_step(alg, env, fs, ds, grid, out, *rest):
+        if len(grid) == 1 and not fs and not ds and not out:
+            isolated.append(grid)
+        return run_step(alg, env, fs, ds, grid, out, *rest)
+
+    monkeypatch.setattr(logic, "_run_step", spy_step)
+    a4 = catalog.build("An?n=4")
+    for k in (1, 2, 3):
+        table = induced_partial_function(a4, catalog.build(f"phi?k={k}&n=4")[0], 1)
+        assert table == {(x,): catalog.expected_phi_value(a4, k, x) for x in range(a4.size)}
+    assert not isolated
+
+
 # --- induced functions -------------------------------------------------------
 
 
@@ -333,15 +352,15 @@ def test_induced_partial_function_sec2():
     a = catalog.build("sec2.A")
     f = catalog.build("sec2.phi")[0]
     table = induced_partial_function(a, f, 1)
-    assert table.is_total_on(a.size)
+    assert len(table) == a.size
     for x in range(8):
-        assert table.value((x,)) == (3 if x == 0 else 1)
+        assert table[(x,)] == (3 if x == 0 else 1)
 
     am = catalog.build("sec2.A-minus-a4")
     pam = induced_partial_function(am, f, 1)
-    assert not pam.is_total_on(am.size)
-    assert pam.domain == frozenset((x,) for x in range(1, 7))
-    assert all(pam.value((x,)) == 1 for x in range(1, 7))
+    assert len(pam) != am.size
+    assert frozenset(pam) == frozenset((x,) for x in range(1, 7))
+    assert all(pam[(x,)] == 1 for x in range(1, 7))
 
 
 def test_functionality_error_carries_witness():
@@ -368,8 +387,8 @@ def test_induced_function_var_order():
     forward = induced_partial_function(a3, f, 2)  # (x, y) -> z
     swapped = induced_partial_function(a3, f, 2, var_order=(1, 0, 2))
     for x, y in itertools.product(range(9), repeat=2):
-        assert forward.value((x, y)) == a3.op("meet", x, y)
-        assert swapped.value((y, x)) == a3.op("meet", x, y)
+        assert forward[(x, y)] == a3.op("meet", x, y)
+        assert swapped[(y, x)] == a3.op("meet", x, y)
     with pytest.raises(ArityError):
         induced_partial_function(a3, f, 2, var_order=(0, 1))
 
@@ -388,7 +407,7 @@ def _scanned_function(alg, f, arity, decide):
 
 def _projected_function(alg, f, arity):
     try:
-        return induced_partial_function(alg, f, arity).values
+        return induced_partial_function(alg, f, arity)
     except FunctionalityError as exc:
         return exc
 
@@ -481,6 +500,24 @@ def test_parse_errors_carry_positions():
             parse_formula(src, HSIG)
         assert "position" in str(exc.value)
         assert exc.value.position >= 0
+
+
+def test_parse_refuses_nesting_past_the_limit():
+    # parentheses, negations, quantifiers, -> chains and term arguments each
+    # nest one level, and the levels add up; catalog formulas nest at most 11
+    shapes = [
+        lambda d: "(" * d + "x = x" + ")" * d,
+        lambda d: "!" * d + "x = x",
+        lambda d: "exists u . " * d + "x = x",
+        lambda d: " -> ".join(["x = x"] * (d + 1)),
+        lambda d: "imp(" * d + "x" + ", x)" * d + " = x",
+        lambda d: "neg(" * d + "x" + ")" * d + " = x",
+        lambda d: "(" * (d // 2) + "!" * (d - d // 2) + "x = x" + ")" * (d // 2),
+    ]
+    for shape in shapes:
+        parse_formula(shape(logic.NESTING_LIMIT), HSIG)
+        with pytest.raises(ParseError, match="nested over"):
+            parse_formula(shape(logic.NESTING_LIMIT + 1), HSIG)
 
 
 # --- printer ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Checks on the library source: the names the benchmark under perfbench/ calls
-must keep resolving, and no module imports a name it does not read."""
+must keep resolving, no module imports a name it does not read, and the
+README's library tour runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +65,10 @@ def test_every_import_is_read():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - read, f"{path.name} imports {sorted(imported - read)} unread"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "no python block in README.md"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
