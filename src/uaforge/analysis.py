@@ -3,10 +3,13 @@
 The hom search binds images element by element with full constraint
 propagation: every time an element's image is fixed, each operation is
 applied to the argument tuples of mapped elements that contain it, which
-forces the images of everything the mapped set generates.  Branching only
-happens on a greedily chosen generating set, so e.g. automorphisms of the
-powerset-style algebras branch only over atom images.  Every map that
-survives the search is re-checked against the full tables independently.
+forces the images of everything the mapped set generates.  Propagation
+reads the tables as nested Python lists: for a binary operation the row and
+the column of the new element, for any other arity its argument tuples.
+Branching only happens on a greedily chosen generating set, so e.g.
+automorphisms of the powerset-style algebras branch only over atom images.
+Every map that survives the search is re-checked against the full tables
+independently.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     if (injective and A.size > B.size) or (kind == "bijective" and A.size != B.size):
         return HomSet(())
 
-    nonconst = [(A.grids[sym], B.grids[sym]) for sym, ar in A.signature.symbols if ar]
+    # the tables as nested lists: an entry is several times cheaper to read than a numpy scalar
+    nonconst = [
+        (A.grids[sym].tolist(), B.grids[sym].tolist(), ar) for sym, ar in A.signature.symbols if ar
+    ]
 
     def assign(img, x, v, queue) -> bool:
         # map x to v, or confirm that it is; fail on a clash or a repeated image
@@ -92,14 +98,25 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
             e = queue.pop()
             mapped = [x for x in range(A.size) if img[x] is not None]
             others = [x for x in mapped if x != e]
-            for grid_a, grid_b in nonconst:
-                ar = grid_a.ndim
-                # the tuples whose first e is in slot i: earlier slots avoid e
-                for i in range(ar):
-                    for args in product(*[others] * i, [e], *[mapped] * (ar - 1 - i)):
-                        r, v = int(grid_a[args]), int(grid_b[tuple(img[a] for a in args)])
-                        if not assign(img, r, v, queue):
+            for ta, tb, ar in nonconst:
+                if ar == 2:
+                    # f(e, x) along the row of e, f(x, e) down its column
+                    row_a, row_b = ta[e], tb[img[e]]
+                    for x in mapped:
+                        if not assign(img, row_a[x], row_b[img[x]], queue):
                             return False
+                    for x in others:
+                        if not assign(img, ta[x][e], tb[img[x]][img[e]], queue):
+                            return False
+                else:
+                    # the tuples whose first e is in slot i: earlier slots avoid e
+                    for i in range(ar):
+                        for args in product(*[others] * i, [e], *[mapped] * (ar - 1 - i)):
+                            r, v = ta, tb
+                            for x in args:
+                                r, v = r[x], v[img[x]]
+                            if not assign(img, r, v, queue):
+                                return False
         return True
 
     nodes = 0

@@ -3,8 +3,11 @@
 A basic translation is one operation with every argument slot fixed except
 one, seen as a unary map.  Each call builds the table of the algebra's
 distinct basic translations once.  A partition is a congruence exactly when
-every basic translation preserves it, and the principal congruence Cg(a, b)
-is the union-find closure of the pair under the translations.  The full
+every basic translation preserves it.  The principal congruences come from
+one array kernel over the pair graph, whose nodes are the pairs {x, y} of
+distinct elements and whose edges are {x, y} -> {t(x), t(y)} for each basic
+translation t: Cg(a, b) is the equivalence closure of the pairs that {a, b}
+reaches (Mal'cev's lemma), computed for all n(n-1)/2 pairs at once.  The full
 congruence lattice is the join closure of the principal congruences together
 with the identity; joins of congruences are plain partition joins since the
 congruences of an algebra form a sublattice of the equivalence lattice.
@@ -18,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import MAX_UNIVERSE, FiniteAlgebra, SizeGuardError, guard_size
-from .partitions import Partition, _canonical, _find
+from .partitions import Partition
 
 
 def _translations(alg: FiniteAlgebra) -> np.ndarray:
@@ -36,25 +39,40 @@ def _translations(alg: FiniteAlgebra) -> np.ndarray:
     return trans[np.unique(as_bytes, return_index=True)[1]]
 
 
-def _closure(trans: np.ndarray, a: int, b: int) -> Partition:
-    """Least partition relating a and b that every translation preserves."""
-    parent = list(range(trans.shape[1]))
-    queue = []
+def _principals(alg: FiniteAlgebra) -> np.ndarray:
+    """Row k: the least-member array of Cg(a, b) for the k-th pair a < b, in
+    lexicographic order.
 
-    def merge(x, y):
-        rx, ry = _find(parent, x), _find(parent, y)
-        if rx != ry:
-            parent[rx] = ry
-            queue.append((x, y))
-
-    merge(a, b)
-    while queue:
-        x, y = queue.pop()
-        tx, ty = trans[:, x], trans[:, y]
-        moved = tx != ty
-        for u, v in zip(tx[moved].tolist(), ty[moved].tolist()):
-            merge(u, v)
-    return Partition(_canonical(parent))
+    The kernel closes the pair graph under reachability (Warshall over the
+    P = n(n-1)/2 pairs, on a P x P boolean array), then the relation on the
+    elements of each distinct set of reached pairs (Warshall over the
+    elements).  It makes no BLAS call.  Besides the P x P reach array and
+    one n x n relation per distinct row, its arrays hold O(P * n) cells.
+    """
+    n = alg.size
+    a, b = np.triu_indices(n, 1)
+    pairs = len(a)
+    pid = np.full((n, n), pairs)  # a collapsed pair lands in the extra column
+    pid[a, b] = pid[b, a] = np.arange(pairs)
+    trans = _translations(alg)
+    reach = np.zeros((pairs, pairs + 1), dtype=bool)
+    for i in range(0, len(trans), n):  # n translations at a time: index arrays of n * pairs
+        step = trans[i : i + n]
+        reach[np.arange(pairs)[:, None], pid[step[:, a], step[:, b]].T] = True
+    reach = np.ascontiguousarray(reach[:, :pairs])
+    np.fill_diagonal(reach, True)
+    for k in range(pairs):
+        reach |= reach[:, k, None] & reach[k]
+    # one relation per distinct row of reach, comparing rows as raw bytes
+    as_bytes = reach.view(np.dtype((np.void, pairs))).ravel()
+    _, first, row_of = np.unique(as_bytes, return_index=True, return_inverse=True)
+    rel = np.zeros((len(first), n, n), dtype=bool)
+    rel[:, a, b] = rel[:, b, a] = reach[first]
+    rel[:, np.arange(n), np.arange(n)] = True
+    for k in range(n):
+        rel |= rel[:, :, k, None] & rel[:, None, k, :]
+    # the first element related to x is the least member of its block
+    return rel.argmax(axis=2)[row_of]
 
 
 def is_congruence(alg: FiniteAlgebra, part: Partition) -> bool:
@@ -67,11 +85,18 @@ def is_congruence(alg: FiniteAlgebra, part: Partition) -> bool:
 
 
 def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
-    """Least congruence identifying a and b."""
+    """Least congruence identifying a and b: one row of the all-pairs kernel,
+    so an algebra over SIZE_GUARD elements raises SizeGuardError."""
     size = alg.size
     if not (0 <= a < size and 0 <= b < size):
         raise ValueError(f"pair ({a},{b}) out of range")
-    return _closure(_translations(alg), a, b)
+    guard_size(size, alg.name)
+    if a == b:
+        return Partition.identity(size)
+    a, b = min(a, b), max(a, b)
+    # the pairs before (a, b) in lexicographic order
+    row = a * (2 * size - a - 1) // 2 + b - a - 1
+    return Partition(tuple(_principals(alg)[row].tolist()))
 
 
 @dataclass(frozen=True)
@@ -102,8 +127,7 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     """
     guard_size(alg.size, alg.name)
     size = alg.size
-    trans = _translations(alg)
-    principals = {_closure(trans, a, b) for a in range(size) for b in range(a + 1, size)}
+    principals = {Partition(rep) for rep in set(map(tuple, _principals(alg).tolist()))}
     congs = {Partition.identity(size)} | principals
     # every congruence is a join of principal ones: join each new one with each
     frontier, joins = principals, 0

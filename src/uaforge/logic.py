@@ -39,7 +39,9 @@ domains.  A bound variable that no factor or definition mentions is settled
 once its domain is nonempty.  The others are eliminated smallest step first
 (bucket elimination): a step ands the factors that mention its variable, and
 those inside the step's grid, and projects out every variable needed nowhere
-else.  A step over BATCH_LIMIT cells is sliced along one variable.
+else.  A step over BATCH_LIMIT cells is sliced along one variable, and a
+step over MAX_UNIVERSE cells per element of the universe raises
+SizeGuardError: slicing bounds the memory of a step, not its time.
 """
 
 from __future__ import annotations
@@ -451,7 +453,13 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
         if not steps:
             return None
         cells = [np.prod([len(values[v]) for v in s[2]], dtype=float) for s in steps]
-        fs, ds, grid, out = steps[cells.index(min(cells))]
+        smallest = cells.index(min(cells))
+        if cells[smallest] > MAX_UNIVERSE * size:  # slicing bounds memory, not time
+            raise SizeGuardError(
+                f"{alg.name}: a solver step over {cells[smallest]:.0f} cells is over the limit of "
+                f"{MAX_UNIVERSE * size}"
+            )
+        fs, ds, grid, out = steps[smallest]
         result = np.zeros((size,) * len(out), dtype=bool)
         _run_step(alg, env, fs, ds, grid, out, values, dom, result)
         if not todo:
@@ -487,7 +495,8 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
     other than existential conjunctions of equations, and plans that are
     still too big, go to the reference evaluator; when it would check over
-    MAX_UNIVERSE equations, SizeGuardError is raised instead.
+    MAX_UNIVERSE equations, SizeGuardError is raised instead.  A step over
+    MAX_UNIVERSE * alg.size cells raises SizeGuardError too.
     """
     kept = tuple(kept)
     bound = f.vars if isinstance(f, Exists) else ()

@@ -27,18 +27,25 @@ from uaforge.core import Signature, SizeGuardError, make_algebra, quotient, suba
 from uaforge.partitions import Partition
 
 SIG = Signature((("f", 2), ("g", 1), ("c", 0)))
+# a ternary operation takes the hom search's generic propagation path
+SIGNATURES = (SIG, SIG.extended((("h", 3),)))
 
 
 @st.composite
-def small_algebras(draw, max_size=3):
+def small_algebras(draw, max_size=3, sig=SIG):
     size = draw(st.integers(1, max_size))
     elem = st.integers(0, size - 1)
     tables = {
-        "f": tuple(draw(st.lists(elem, min_size=size * size, max_size=size * size))),
-        "g": tuple(draw(st.lists(elem, min_size=size, max_size=size))),
-        "c": (draw(elem),),
+        sym: tuple(draw(st.lists(elem, min_size=size**arity, max_size=size**arity)))
+        for sym, arity in sig.symbols
     }
-    return make_algebra("rand", SIG, size, tables)
+    return make_algebra("rand", sig, size, tables)
+
+
+@st.composite
+def algebra_pairs(draw):
+    sig = draw(st.sampled_from(SIGNATURES))
+    return draw(small_algebras(sig=sig)), draw(small_algebras(sig=sig))
 
 
 def commutes(A, B, m):
@@ -58,13 +65,17 @@ def brute_homs(A, B):
     )
 
 
-@given(small_algebras(), small_algebras())
-@example(  # mapping 2 to 1 clashes at f(1, 2), where 2 is in the second slot only
+@given(algebra_pairs())
+@example((  # mapping 2 to 1 clashes at f(1, 2), where 2 is in the second slot only
     make_algebra("A", SIG, 3, {"f": (1, 0, 0, 0, 1, 0, 0, 1, 1), "g": (1, 1, 1), "c": (0,)}),
     make_algebra("B", SIG, 3, {"f": (1, 0, 0, 0, 1, 0, 0, 0, 0), "g": (1, 1, 0), "c": (0,)}),
-)
+))
+@example((  # f a projection, g the identity: the nine maps fixing 0, in order
+    make_algebra("P", SIG, 3, {"f": (0, 0, 0, 1, 1, 1, 2, 2, 2), "g": (0, 1, 2), "c": (0,)}),
+) * 2)
 @settings(max_examples=50)
-def test_homs_match_brute_force(A, B):
+def test_homs_match_brute_force(pair):
+    A, B = pair
     expected = brute_homs(A, B)
     maps = itertools.product(range(B.size), repeat=A.size)
     assert [m for m in maps if is_homomorphism(A, B, m)] == expected
@@ -81,9 +92,11 @@ def test_homs_match_brute_force(A, B):
     # propagation checks every argument tuple, so each complete map is a
     # homomorphism before the search re-checks it
     assert all(leaf_checks)
-    assert sorted(got.maps) == expected
-    assert sorted(inj.maps) == [m for m in expected if len(set(m)) == A.size]
-    assert sorted(bij.maps) == [
+    # the search branches on the least unmapped element, trying images in
+    # increasing order, so the maps come out in lexicographic order
+    assert list(got.maps) == expected
+    assert list(inj.maps) == [m for m in expected if len(set(m)) == A.size]
+    assert list(bij.maps) == [
         m for m in expected if A.size == B.size and len(set(m)) == A.size
     ]
 

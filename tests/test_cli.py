@@ -247,6 +247,19 @@ def test_eval_and_functional_refuse_unbounded_work(runner, files):
         assert "Traceback" not in res.output and "over the limit" in res.output
 
 
+def test_solver_steps_over_the_work_bound_exit_2(runner, tmp_path):
+    # one equation over nine bound variables: a 17^9-cell step on A4
+    path = tmp_path / "A4.json"
+    assert runner.invoke(main, ["build", "An?n=4", "-o", str(path)]).exit_code == 0
+    src = ("exists a b c d e f g h i . "
+           "join(join(join(a, b), join(c, d)), join(join(e, f), join(g, h))) = meet(i, x)")
+    start = time.perf_counter()
+    res = runner.invoke(main, ["eval", str(path), "--formula", src, "--assign", "x=0"])
+    assert time.perf_counter() - start < 10
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output and "over the limit" in res.output
+
+
 def test_deeply_nested_formulas_exit_2(runner, files):
     a = files["sec2.A"]
     for src in ("(" * 200 + "x = x" + ")" * 200,

@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,14 @@ from uaforge.congruences import (
     quotient_is_fsi,
     quotient_is_si,
 )
-from uaforge.core import Signature, direct_product, make_algebra, quotient, subalgebra
+from uaforge.core import (
+    Signature,
+    SizeGuardError,
+    direct_product,
+    make_algebra,
+    quotient,
+    subalgebra,
+)
 from uaforge.partitions import Partition
 
 SIG = Signature((("f", 2), ("g", 1)))
@@ -76,19 +84,18 @@ def test_is_congruence_matches_definition(alg, data):
     assert is_congruence(alg, part) == is_cong_brute(alg, part)
 
 
-@given(small_algebras(), st.data())
+@given(small_algebras())
 @settings(max_examples=40)
-def test_principal_congruence_is_least(alg, data):
+def test_principal_congruence_is_least(alg):
     n = alg.size
-    a = data.draw(st.integers(0, n - 1))
-    b = data.draw(st.integers(0, n - 1))
-    theta = principal_congruence(alg, a, b)
-    assert theta.same(a, b)
-    assert is_cong_brute(alg, theta)
-    # least among all congruences containing the pair
-    for part in all_partitions(n):
-        if part.same(a, b) and is_cong_brute(alg, part):
-            assert theta.leq(part)
+    congs = [p for p in all_partitions(n) if is_cong_brute(alg, p)]
+    for a in range(n):
+        for b in range(n):
+            theta = principal_congruence(alg, a, b)
+            assert theta.same(a, b)
+            assert theta in congs
+            # least among all congruences containing the pair
+            assert all(theta.leq(p) for p in congs if p.same(a, b))
 
 
 def check_lattice_against_brute(alg):
@@ -124,6 +131,26 @@ def test_congruence_lattice_matches_brute_enumeration():
 @settings(max_examples=40)
 def test_random_congruence_lattices_match_brute_enumeration(alg):
     check_lattice_against_brute(alg)
+
+
+def test_congruence_lattice_without_translations():
+    # one element; no operations; constants only: no basic translation, so
+    # every partition is a congruence and Cg(a, b) merges just a and b
+    one = make_algebra("one", SIG, 1, {"f": (0,), "g": (0,)})
+    bare = make_algebra("bare", Signature(()), 4, {})
+    consts = make_algebra("consts", Signature((("c", 0),)), 3, {"c": (2,)})
+    for alg in (one, bare, consts):
+        check_lattice_against_brute(alg)
+        n = alg.size
+        for a in range(n):
+            for b in range(n):
+                assert principal_congruence(alg, a, b) == Partition.from_pairs(n, [(a, b)])
+    assert congruence_lattice(one).congruences == (Partition.identity(1),)
+    assert len(congruence_lattice(bare)) == 15  # Bell(4)
+    assert len(congruence_lattice(consts)) == 5  # Bell(3)
+    # the kernel computes every pair at once, so it stays within the size guard
+    with pytest.raises(SizeGuardError):
+        principal_congruence(make_algebra("big", Signature(()), 25, {}), 0, 1)
 
 
 def count_filters(alg):
