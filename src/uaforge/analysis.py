@@ -9,7 +9,8 @@ the column of the new element, for any other arity its argument tuples.
 Branching only happens on a greedily chosen generating set, so e.g.
 automorphisms of the powerset-style algebras branch only over atom images.
 Every map that survives the search is re-checked against the full tables
-independently.
+independently.  Isomorphism is this search over bijections alone, stopped at
+the first map found.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .catalog import atoms_below
-from .congruences import congruence_lattice, quotient_is_fsi, quotient_is_si
+from .congruences import congruence_lattice, quotient_is_si
 from .core import (
     MAX_UNIVERSE,
     AlgebraError,
@@ -63,7 +63,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
 
     kind restricts to injective or bijective maps (pruned during search, not
     post-filtered).  Raises SizeGuardError when the search visits over
-    MAX_UNIVERSE nodes (partial maps closed under propagation).
+    MAX_UNIVERSE nodes (partial maps closed under propagation), or when the
+    maps found hold over MAX_UNIVERSE cells.
     """
     if kind not in ("all", "injective", "bijective"):
         raise AlgebraError(f"unknown hom kind {kind!r}")
@@ -133,6 +134,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
         except ValueError:
             if is_homomorphism(A, B, img):
                 out.append(tuple(img))
+                if len(out) * A.size > MAX_UNIVERSE:
+                    raise SizeGuardError(f"homs {A.name} -> {B.name} hold over {MAX_UNIVERSE} cells")
             return
         for v in range(B.size):
             img2, queue = list(img), []
@@ -190,23 +193,9 @@ def is_group_under_composition(maps) -> bool:
 # isomorphism
 
 
-def _element_profiles(alg: FiniteAlgebra) -> list[tuple]:
-    """Sorted per-element invariants: is the element idempotent under each
-    operation (the constant itself, for a constant), and how often is it a
-    value of each operation."""
-    elems = np.arange(alg.size)
-    columns = []
-    for grid in alg.grids.values():
-        columns.append(grid[(elems,) * grid.ndim] == elems)
-        columns.append(np.bincount(grid.ravel(), minlength=alg.size))
-    return sorted(zip(*(c.tolist() for c in columns)))
-
-
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """Isomorphism test: profiles as a pre-filter, then a bijective hom search."""
+    """Some bijective homomorphism A -> B exists; the search stops at the first."""
     if A.size != B.size or A.signature != B.signature:
-        return False
-    if _element_profiles(A) != _element_profiles(B):
         return False
     return bool(homs(A, B, "bijective", first_only=True).maps)
 
@@ -260,16 +249,8 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
             if cls is None:
                 reps.append(q)
                 cls = len(reps) - 1
-            entries.append(
-                HSEntry(
-                    subuniverse=s,
-                    congruence=theta,
-                    size=q.size,
-                    fsi=quotient_is_fsi(lat, theta),
-                    si=quotient_is_si(lat, theta),
-                    iso_class=cls,
-                )
-            )
+            si = quotient_is_si(lat, theta)  # on a finite algebra also FSI
+            entries.append(HSEntry(s, theta, q.size, fsi=si, si=si, iso_class=cls))
     return HSClassification(A.name, tuple(entries), tuple(reps))
 
 
@@ -386,6 +367,20 @@ def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]
 
 def lattice_leq(alg: FiniteAlgebra, a: int, b: int) -> bool:
     return alg.op("meet", a, b) == a
+
+
+def atoms_of(alg: FiniteAlgebra) -> list[int]:
+    """Atoms of the order defined by the meet operation."""
+    bottom = alg.const("zero")
+    # strictly_below[b, a]: b <= a, that is meet(b, a) = b, with b not a and not the bottom
+    strictly_below = alg.grids["meet"] == np.arange(alg.size)[:, None]
+    strictly_below[bottom] = False
+    np.fill_diagonal(strictly_below, False)
+    return [a for a in np.flatnonzero(~strictly_below.any(axis=0)).tolist() if a != bottom]
+
+
+def atoms_below(alg: FiniteAlgebra, a: int) -> list[int]:
+    return [p for p in atoms_of(alg) if lattice_leq(alg, p, a)]
 
 
 def is_chain(alg: FiniteAlgebra) -> bool:

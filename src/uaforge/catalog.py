@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-import numpy as np
-
+from .analysis import atoms_below, atoms_of
 from .core import (
     AlgebraError,
     Apply,
@@ -205,20 +204,6 @@ def build_An(n: int) -> FiniteAlgebra:
         "one": (top,),
     }
     return make_algebra(f"A{n}", HEYTING_SIGNATURE, size, tables, _an_element_names(n))
-
-
-def atoms_of(alg: FiniteAlgebra) -> list[int]:
-    """Atoms of the order defined by the meet operation."""
-    bottom = alg.const("zero")
-    # strictly_below[b, a]: b <= a, that is meet(b, a) = b, with b not a and not the bottom
-    strictly_below = alg.grids["meet"] == np.arange(alg.size)[:, None]
-    strictly_below[bottom] = False
-    np.fill_diagonal(strictly_below, False)
-    return [a for a in np.flatnonzero(~strictly_below.any(axis=0)).tolist() if a != bottom]
-
-
-def atoms_below(alg: FiniteAlgebra, a: int) -> list[int]:
-    return [p for p in atoms_of(alg) if alg.op("meet", p, a) == p]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ reaches (Mal'cev's lemma), computed for all n(n-1)/2 pairs at once.  The full
 congruence lattice is the join closure of the principal congruences together
 with the identity; joins of congruences are plain partition joins since the
 congruences of an algebra form a sublattice of the equivalence lattice.
+Monolith, SI and FSI are one scan of the interval above a congruence for its
+least member; on a finite algebra FSI and SI coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -142,16 +143,21 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     return CongruenceLattice(size, tuple(ordered))
 
 
+def _least_above(lattice: CongruenceLattice, theta: Partition) -> Partition | None:
+    """The least congruence strictly above theta, when one exists.
+
+    The lattice lists finer congruences first, so only the first congruence
+    above theta can be below all the others.
+    """
+    above = [c for c in lattice.congruences if theta.leq(c) and c != theta]
+    if above and all(above[0].leq(c) for c in above):
+        return above[0]
+    return None
+
+
 def monolith(lattice: CongruenceLattice) -> Partition | None:
     """Least non-identity congruence, when one exists."""
-    ident = lattice.identity
-    nontrivial = [c for c in lattice.congruences if c != ident]
-    if not nontrivial:
-        return None
-    for m in nontrivial:
-        if all(m.leq(c) for c in nontrivial):
-            return m
-    return None
+    return _least_above(lattice, lattice.identity)
 
 
 def is_simple(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
@@ -163,32 +169,18 @@ def is_simple(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> b
 
 def is_si(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
     """Subdirectly irreducible: nontrivial with a least non-identity congruence."""
-    lattice = lattice or congruence_lattice(alg)
-    return quotient_is_si(lattice, lattice.identity)
-
-
-def is_fsi(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
-    """Finitely subdirectly irreducible: nontrivial, identity meet-irreducible."""
-    lattice = lattice or congruence_lattice(alg)
-    return quotient_is_fsi(lattice, lattice.identity)
-
-
-# interval variants used when classifying quotients: the congruences of
-# alg/theta correspond to the congruences of alg above theta
-
-
-def quotient_is_fsi(lattice: CongruenceLattice, theta: Partition) -> bool:
-    if theta == lattice.full:
-        return False
-    above = [c for c in lattice.congruences if theta.leq(c) and c != theta]
-    for p, q in combinations(above, 2):
-        if p.meet(q) == theta:
-            return False
-    return True
+    return monolith(lattice or congruence_lattice(alg)) is not None
 
 
 def quotient_is_si(lattice: CongruenceLattice, theta: Partition) -> bool:
-    if theta == lattice.full:
-        return False
-    above = [c for c in lattice.congruences if theta.leq(c) and c != theta]
-    return any(all(m.leq(c) for c in above) for m in above)
+    """alg/theta is SI: the congruences of alg/theta correspond to the
+    congruences of alg above theta."""
+    return _least_above(lattice, theta) is not None
+
+
+# Finitely subdirectly irreducible means that theta < 1 is meet-irreducible.
+# In a finite lattice that holds exactly when theta has one upper cover, that
+# is, when some congruence is least among those strictly above theta: on a
+# finite algebra FSI and SI are the same property.
+is_fsi = is_si
+quotient_is_fsi = quotient_is_si

@@ -2,11 +2,10 @@
 
 An algebra lives on the universe {0..size-1}.  Each operation of arity r is a
 flat row-major tuple of length size**r: the entry for arguments (x1,..,xr)
-sits at index x1*size**(r-1) + ... + xr.  Code that walks whole tables
-indexes ``alg.grids[sym]`` instead: the same table as a read-only numpy array
-of shape (size,)*r, so that ``grid[x1, .., xr]`` is the entry.  Besides this
-module, only the pp solver's batch evaluator reads the flat ``np_tables``;
-``op`` and ``eval_term`` are the scalar reference.
+sits at index x1*size**(r-1) + ... + xr.  Only this module reads that layout.
+Code elsewhere indexes ``alg.grids[sym]``: the same table as a read-only numpy
+array of shape (size,)*r, so that ``grid[x1, .., xr]`` is the entry.  ``op``
+and ``eval_term`` are the scalar reference.
 """
 
 from __future__ import annotations
@@ -173,22 +172,16 @@ class FiniteAlgebra:
         if self.element_names is not None and len(self.element_names) != self.size:
             raise AlgebraError("element_names length does not match size")
 
-    # cached read-only numpy copies of the tables, shared by every caller
-    @cached_property
-    def np_tables(self) -> dict[str, np.ndarray]:
-        out = {sym: np.asarray(tab, dtype=np.int64) for sym, tab in self.tables.items()}
-        for arr in out.values():
-            arr.flags.writeable = False
-        return out
-
     @cached_property
     def grids(self) -> dict[str, np.ndarray]:
-        """Each table reshaped to (size,)*arity, in signature order, so that
-        grid[x1, .., xr] is the entry for the arguments (x1, .., xr)."""
-        return {
-            sym: self.np_tables[sym].reshape((self.size,) * arity)
-            for sym, arity in self.signature.symbols
-        }
+        """Each table as a read-only array of shape (size,)*arity, in signature
+        order, so that grid[x1, .., xr] is the entry for the arguments (x1, .., xr).
+        The arrays are shared by every caller."""
+        out = {}
+        for sym, arity in self.signature.symbols:
+            out[sym] = np.array(self.tables[sym], dtype=np.int64).reshape((self.size,) * arity)
+            out[sym].flags.writeable = False
+        return out
 
     def op(self, symbol: str, *args: int) -> int:
         arity = self.signature.arity(symbol)

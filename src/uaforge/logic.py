@@ -220,15 +220,8 @@ def eval_term_batch(alg: FiniteAlgebra, t: Term, env):
     arity = alg.signature.arity(t.symbol)
     if len(t.args) != arity:
         raise ArityError(f"{t.symbol!r} expects {arity} arguments, got {len(t.args)}")
-    if arity == 0:
-        return int(alg.tables[t.symbol][0])
-    k = eval_term_batch(alg, t.args[0], env)
-    for a in t.args[1:]:
-        k = k * alg.size + eval_term_batch(alg, a, env)
-    table = alg.np_tables[t.symbol]
-    if isinstance(k, (int, np.integer)):
-        return int(table[k])
-    return table[k]
+    out = alg.grids[t.symbol][tuple(eval_term_batch(alg, a, env) for a in t.args)]
+    return int(out) if isinstance(out, np.integer) else out
 
 
 # ---------------------------------------------------------------------------

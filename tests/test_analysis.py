@@ -73,6 +73,10 @@ def brute_homs(A, B):
 @example((  # f a projection, g the identity: the nine maps fixing 0, in order
     make_algebra("P", SIG, 3, {"f": (0, 0, 0, 1, 1, 1, 2, 2, 2), "g": (0, 1, 2), "c": (0,)}),
 ) * 2)
+@example((  # one f entry apart: each element is as often a value and as idempotent, yet no iso
+    make_algebra("A", SIG, 3, {"f": (0, 0, 1, 1, 2, 1, 2, 2, 1), "g": (0, 2, 1), "c": (0,)}),
+    make_algebra("B", SIG, 3, {"f": (0, 0, 2, 1, 2, 1, 2, 2, 1), "g": (0, 2, 1), "c": (0,)}),
+))
 @settings(max_examples=50)
 def test_homs_match_brute_force(pair):
     A, B = pair
@@ -96,9 +100,9 @@ def test_homs_match_brute_force(pair):
     # increasing order, so the maps come out in lexicographic order
     assert list(got.maps) == expected
     assert list(inj.maps) == [m for m in expected if len(set(m)) == A.size]
-    assert list(bij.maps) == [
-        m for m in expected if A.size == B.size and len(set(m)) == A.size
-    ]
+    brute_bij = [m for m in expected if A.size == B.size and len(set(m)) == A.size]
+    assert list(bij.maps) == brute_bij
+    assert is_isomorphic(A, B) == bool(brute_bij)
 
 
 def test_injective_homs_reject_images_forced_in_one_step():
@@ -196,6 +200,7 @@ def test_hs_classify_sec2():
     assert si_sizes == [6, 7, 8]
     fsi_sizes = sorted(cls.representatives[i].size for i in cls.fsi_classes())
     assert fsi_sizes == [6, 7, 8]
+    assert all(e.fsi == e.si for e in cls.entries)
     # the three SI representatives are A, A-minus-a4 and B themselves
     reps = [cls.representatives[i] for i in cls.si_classes()]
     for expected_id in ("sec2.A", "sec2.A-minus-a4", "sec2.B"):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uaforge import catalog
@@ -102,7 +102,7 @@ def check_lattice_against_brute(alg):
     brute = sorted(p.rep for p in all_partitions(alg.size) if is_cong_brute(alg, p))
     lat = congruence_lattice(alg)
     assert sorted(c.rep for c in lat.congruences) == brute
-    # ordering contract: coarser (fewer blocks) first, identity first overall
+    # ordering contract: finer (more blocks) first, identity first overall
     blocks = [c.num_blocks for c in lat.congruences]
     assert lat.congruences[0] == Partition.identity(alg.size)
     assert blocks[1:] == sorted(blocks[1:], reverse=True)
@@ -151,6 +151,35 @@ def test_congruence_lattice_without_translations():
     # the kernel computes every pair at once, so it stays within the size guard
     with pytest.raises(SizeGuardError):
         principal_congruence(make_algebra("big", Signature(()), 25, {}), 0, 1)
+
+
+def meet_irreducible(lattice, theta):
+    """FSI by definition: theta < 1 is not the meet of two congruences above it."""
+    if theta == lattice.full:
+        return False
+    above = [c for c in lattice if theta.leq(c) and c != theta]
+    return all(p.meet(q) != theta for p, q in itertools.combinations(above, 2))
+
+
+def least_above(lattice, theta):
+    """SI by definition: the congruence above theta that is below all the others."""
+    above = [c for c in lattice if theta.leq(c) and c != theta]
+    return next((m for m in above if all(m.leq(c) for c in above)), None)
+
+
+# random tables nearly always give simple algebras; the examples' lattices are
+# a square, all 15 partitions of four elements, and a cube above a monolith
+@given(small_algebras())
+@example(direct_product([catalog.build("An?n=0")] * 2))
+@example(make_algebra("bare", Signature(()), 4, {}))
+@example(catalog.build("An?n=3"))
+@settings(max_examples=40)
+def test_fsi_si_and_monolith_match_definitions(alg):
+    lat = congruence_lattice(alg)
+    assert monolith(lat) == least_above(lat, lat.identity)
+    for theta in lat:
+        assert quotient_is_fsi(lat, theta) == meet_irreducible(lat, theta)
+        assert quotient_is_si(lat, theta) == (least_above(lat, theta) is not None)
 
 
 def count_filters(alg):

@@ -1,6 +1,6 @@
 """Checks on the library source: the names the benchmark under perfbench/ calls
-must keep resolving, no module imports a name it does not read, and the
-README's library tour runs."""
+must keep resolving, each module imports only the layers below it and no name
+it does not read, and the README's library tour runs."""
 
 import ast
 import importlib
@@ -48,6 +48,22 @@ def test_benchmark_surface_resolves():
         _resolve(module, attr)
     for module in consts["CALLER_MODULES"]:
         importlib.import_module(f"uaforge.{module}")
+
+
+# the layers, lowest first; __init__.py re-exports from all of them
+LAYERS = ("partitions", "core", "congruences", "logic", "analysis", "catalog", "claims", "cli")
+
+
+def test_modules_import_only_lower_layers():
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((ROOT / "src" / "uaforge" / f"{name}.py").read_text())
+        imported = {
+            node.module or alias.name  # "from . import catalog" names the module itself
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        assert imported <= set(LAYERS[:rank]), f"{name} imports {sorted(imported - set(LAYERS[:rank]))}"
 
 
 def test_every_import_is_read():
