@@ -11,6 +11,10 @@ automorphisms of the powerset-style algebras branch only over atom images.
 Every map that survives the search is re-checked against the full tables
 independently.  Isomorphism is this search over bijections alone, stopped at
 the first map found.
+
+HS classification builds one congruence lattice and one set of quotients per
+isomorphism type of subalgebra.  Each later subalgebra of a type takes the
+first one's rows over through an isomorphism found by that search.
 """
 
 from __future__ import annotations
@@ -232,25 +236,45 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
 
     FSI/SI status is decided inside the subalgebra's congruence lattice: the
     congruences of a quotient sub/theta correspond to the lattice interval
-    above theta, so no quotient lattices are recomputed.
+    above theta, so no quotient lattices are recomputed.  A subalgebra
+    isomorphic to the first one of an earlier type, by sigma, takes over
+    that type's rows: sub/sigma(theta) is isomorphic to first/theta, so it
+    has the same size, SI flag and class.
     """
     entries: list[HSEntry] = []
     reps: list[FiniteAlgebra] = []
+    # per isomorphism type: its first subalgebra and (theta, size, si, class) rows
+    types: list[tuple[FiniteAlgebra, list[tuple]]] = []
     for s in all_subuniverses(A):
         sub, _embed = subalgebra(A, s)
-        lat = congruence_lattice(sub)
-        for theta in lat:
-            q = quotient(sub, theta)
-            cls = None
-            for i, rep in enumerate(reps):
-                if is_isomorphic(q, rep):
-                    cls = i
-                    break
-            if cls is None:
-                reps.append(q)
-                cls = len(reps) - 1
-            si = quotient_is_si(lat, theta)  # on a finite algebra also FSI
-            entries.append(HSEntry(s, theta, q.size, fsi=si, si=si, iso_class=cls))
+        n = sub.size
+        for first, first_rows in types:
+            maps = first.size == n and homs(first, sub, "bijective", first_only=True).maps
+            if maps:
+                sigma = maps[0]
+                rows = sorted(
+                    (
+                        (Partition.from_pairs(n, ((sigma[x], sigma[t.rep[x]]) for x in range(n))), *rest)
+                        for t, *rest in first_rows
+                    ),
+                    key=lambda row: (-row[0].num_blocks, row[0].rep),  # congruence_lattice's order
+                )
+                break
+        else:
+            lat = congruence_lattice(sub)
+            rows = []
+            for theta in lat:
+                q = quotient(sub, theta)
+                cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
+                if cls is None:
+                    reps.append(q)
+                    cls = len(reps) - 1
+                # on a finite algebra SI is also FSI
+                rows.append((theta, q.size, quotient_is_si(lat, theta), cls))
+            types.append((sub, rows))
+        entries.extend(
+            HSEntry(s, theta, size, fsi=si, si=si, iso_class=cls) for theta, size, si, cls in rows
+        )
     return HSClassification(A.name, tuple(entries), tuple(reps))
 
 

@@ -10,7 +10,10 @@ translation t: Cg(a, b) is the equivalence closure of the pairs that {a, b}
 reaches (Mal'cev's lemma), computed for all n(n-1)/2 pairs at once.  The full
 congruence lattice is the join closure of the principal congruences together
 with the identity; joins of congruences are plain partition joins since the
-congruences of an algebra form a sublattice of the equivalence lattice.
+congruences of an algebra form a sublattice of the equivalence lattice.  Each
+distinct principal congruence keeps one pair (a, b) that generates it, and the
+join of c with Cg(a, b) is skipped when a and b share a block of c, since
+then Cg(a, b) <= c.
 Monolith, SI and FSI are one scan of the interval above a congruence for its
 least member; on a finite algebra FSI and SI coincide.
 """
@@ -128,15 +131,21 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
     """
     guard_size(alg.size, alg.name)
     size = alg.size
-    principals = {Partition(rep) for rep in set(map(tuple, _principals(alg).tolist()))}
-    congs = {Partition.identity(size)} | principals
-    # every congruence is a join of principal ones: join each new one with each
-    frontier, joins = principals, 0
+    # each distinct principal congruence with one pair (a, b) that generates it
+    lo, hi = np.triu_indices(size, 1)
+    reps = dict(zip(map(tuple, _principals(alg).tolist()), zip(lo.tolist(), hi.tolist())))
+    principals = {Partition(rep): ab for rep, ab in reps.items()}
+    congs = {Partition.identity(size)} | principals.keys()
+    # every congruence is a join of principal ones: join each new one with
+    # each, skipping Cg(a, b) <= c, that is a and b already in one block of c
+    frontier, joins = set(principals), 0
     while frontier:
-        joins += len(frontier) * len(principals)
+        joins += len(frontier) * len(principals)  # an upper bound on the joins made
         if joins > MAX_UNIVERSE:
             raise SizeGuardError(f"{alg.name}: the congruence lattice needs over {MAX_UNIVERSE} joins")
-        frontier = {c.join(p) for c in frontier for p in principals} - congs
+        frontier = {
+            c.join(p) for c in frontier for p, (a, b) in principals.items() if c.rep[a] != c.rep[b]
+        } - congs
         congs |= frontier
     # refinement-compatible total order: finer congruences have more blocks
     ordered = sorted(congs, key=lambda c: (-c.num_blocks, c.rep))

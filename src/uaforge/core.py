@@ -6,6 +6,12 @@ sits at index x1*size**(r-1) + ... + xr.  Only this module reads that layout.
 Code elsewhere indexes ``alg.grids[sym]``: the same table as a read-only numpy
 array of shape (size,)*r, so that ``grid[x1, .., xr]`` is the entry.  ``op``
 and ``eval_term`` are the scalar reference.
+
+``sg_closure`` closes one generating set.  ``all_subuniverses`` closes each
+frontier of one-point extensions together, as the rows of one boolean array
+(``_close_rows``), in chunks whose tuple arrays hold at most MAX_UNIVERSE
+cells; it raises SizeGuardError once the subuniverses found hold over
+MAX_UNIVERSE cells.
 """
 
 from __future__ import annotations
@@ -298,30 +304,70 @@ def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, 
     return sub, tuple(elems)
 
 
+def _close_rows(rows: np.ndarray, ops) -> np.ndarray:
+    """Close every row of a boolean (rows, size) membership array at once.
+
+    A round ORs into each row the images of all tuples of its members: the
+    tuple array of an r-ary operation holds one cell per row and argument
+    tuple, and its bool @ bool product with the one-hot table (no BLAS call)
+    marks the images.  Rows that a round leaves unchanged are closed and
+    drop out.
+    """
+    closed = [rows[:0]]
+    while len(rows):
+        grown = rows.copy()
+        for arity, onehot in ops:
+            tuples = rows
+            for _ in range(arity - 1):
+                tuples = (tuples[:, :, None] & rows[:, None, :]).reshape(len(rows), -1)
+            grown |= tuples @ onehot
+        same = (grown == rows).all(axis=1)
+        closed.append(rows[same])
+        rows = grown[~same]
+    return np.concatenate(closed)
+
+
 def all_subuniverses(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """Every subuniverse, found by closing one-point extensions of Sg(empty).
 
     Any subuniverse T contains Sg(empty); from a known S properly inside T,
     closing S + {x} for x in T-S stays inside T and grows, so induction on
-    size reaches T.  Each is a sorted tuple, and the list is sorted by
-    (size, elements).
+    size reaches T.  Every one-point extension of the newest subuniverses is
+    a row of one boolean array, and ``_close_rows`` closes them together, in
+    chunks of rows whose tuple arrays hold at most MAX_UNIVERSE cells (one
+    row at least).  Raises SizeGuardError once the subuniverses found hold
+    over MAX_UNIVERSE cells.  Each is a sorted tuple, and the list is sorted
+    by (size, elements).
     """
     guard_size(alg.size, alg.name)
-    base = frozenset(sg_closure(alg))
-    known = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in range(alg.size):
-                if x in s:
-                    continue
-                bigger = frozenset(sg_closure(alg, sorted(s | {x})))
-                if bigger not in known:
-                    known.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted((tuple(sorted(s)) for s in known), key=lambda s: (len(s), s))
+    n = alg.size
+    # onehot[t, y]: the t-th argument tuple, in row-major order, has the image y
+    ops = [(g.ndim, g.reshape(-1, 1) == np.arange(n)) for g in alg.grids.values() if g.ndim]
+    chunk = max(1, MAX_UNIVERSE // max([n**arity for arity, _ in ops], default=n))
+    base = np.zeros(n, dtype=bool)
+    base[list(sg_closure(alg))] = True
+    # each subuniverse as the raw bytes of its membership row
+    known = {base.tobytes()}
+    new = [base.tobytes()]
+    while new:
+        sets = np.frombuffer(b"".join(new), dtype=bool).reshape(-1, n)
+        new = []
+        # the extension S + {x} for every row S of sets and x outside it
+        which, x = np.nonzero(~sets)
+        for i in range(0, len(x), chunk):
+            ext = sets[which[i : i + chunk]]
+            ext[np.arange(len(ext)), x[i : i + chunk]] = True
+            for row in _close_rows(ext, ops):
+                key = row.tobytes()
+                if key not in known:
+                    known.add(key)
+                    new.append(key)
+                    if len(known) * n > MAX_UNIVERSE:
+                        raise SizeGuardError(
+                            f"subuniverses of {alg.name} hold over {MAX_UNIVERSE} cells"
+                        )
+    held = np.frombuffer(b"".join(known), dtype=bool).reshape(-1, n)
+    return sorted((tuple(np.flatnonzero(r).tolist()) for r in held), key=lambda s: (len(s), s))
 
 
 # ---------------------------------------------------------------------------

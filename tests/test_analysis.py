@@ -15,6 +15,7 @@ from uaforge.analysis import (
     embeddings,
     endomorphisms,
     homs,
+    HSEntry,
     hs_classify,
     inverse,
     is_chain,
@@ -23,7 +24,16 @@ from uaforge.analysis import (
     is_isomorphic,
     lattice_leq,
 )
-from uaforge.core import Signature, SizeGuardError, make_algebra, quotient, subalgebra
+from uaforge.congruences import congruence_lattice, quotient_is_si
+from uaforge.core import (
+    Signature,
+    SizeGuardError,
+    all_subuniverses,
+    direct_product,
+    make_algebra,
+    quotient,
+    subalgebra,
+)
 from uaforge.partitions import Partition
 
 SIG = Signature((("f", 2), ("g", 1), ("c", 0)))
@@ -207,9 +217,49 @@ def test_hs_classify_sec2():
         assert any(is_isomorphic(r, catalog.build(expected_id)) for r in reps)
 
 
+def hs_classify_by_definition(A):
+    """Every quotient of every subalgebra, each with its own lattice and
+    quotient, classified against the representatives found so far."""
+    entries, reps = [], []
+    for s in all_subuniverses(A):
+        sub, _embed = subalgebra(A, s)
+        lat = congruence_lattice(sub)
+        for theta in lat:
+            q = quotient(sub, theta)
+            cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
+            if cls is None:
+                reps.append(q)
+                cls = len(reps) - 1
+            si = quotient_is_si(lat, theta)
+            entries.append(HSEntry(s, theta, q.size, fsi=si, si=si, iso_class=cls))
+    return tuple(entries), [(r.name, r.size, r.tables) for r in reps]
+
+
+def assert_hs_classify_matches_definition(A):
+    got = hs_classify(A)
+    entries, reps = hs_classify_by_definition(A)
+    assert got.entries == entries
+    assert [(r.name, r.size, r.tables) for r in got.representatives] == reps
+
+
+@pytest.mark.parametrize("cid", ["sec2.A", "An?n=3", "Bn?n=3", "An?n=4"])
+def test_hs_classify_matches_definition(cid):
+    assert_hs_classify_matches_definition(catalog.build(cid))
+
+
+# 2-element factors only: the square of a 3-element factor with f a projection
+# and g the identity has 2^8 subuniverses, every partition of each is a
+# congruence, and classifying them takes over 100 s
+@given(st.sampled_from(SIGNATURES).flatmap(lambda sig: small_algebras(max_size=2, sig=sig)))
+# f a projection, g the identity: {0} x A and A x {0} are isomorphic subalgebras
+@example(make_algebra("p", SIG, 2, {"f": (0, 0, 1, 1), "g": (0, 1), "c": (0,)}))
+@settings(max_examples=40, deadline=None)
+def test_hs_classify_matches_definition_on_squares(X):
+    assert_hs_classify_matches_definition(direct_product([X, X]))
+
+
 def test_amalgamation_positive_and_negative():
     b3 = catalog.build("Bn?n=3")
-    from uaforge.core import all_subuniverses
 
     members = []
     seen = []

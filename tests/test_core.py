@@ -1,8 +1,10 @@
 import itertools
 import json
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uaforge.core import (
@@ -140,19 +142,6 @@ def test_sg_closure_is_a_closure_operator(alg):
     assert set(base) <= set(bigger)
 
 
-@given(small_algebras())
-@settings(max_examples=30)
-def test_all_subuniverses_matches_powerset_oracle(alg):
-    brute = sorted(
-        tuple(s)
-        for r in range(alg.size + 1)
-        for s in itertools.combinations(range(alg.size), r)
-        if closed_by_definition(alg, s)
-    )
-    got = sorted(all_subuniverses(alg))
-    assert got == brute
-
-
 SIG3 = Signature((("f", 2), ("h", 3), ("c", 0)))
 
 
@@ -220,6 +209,40 @@ def test_table_walkers_match_op_definitions(alg, other):
             left = alg.op(sym, *(c[0] for c in coords))
             right = other.op(sym, *(c[1] for c in coords))
             assert prod.op(sym, *args) == left * other.size + right
+
+
+@given(
+    st.one_of(
+        small_algebras(),
+        noncommutative_algebras(),
+        small_algebras().map(lambda alg: reduct(alg, ("f", "g"))),  # no constant
+    )
+)
+@example(reduct(two_chain(), ("meet",)))  # the empty set is a subuniverse
+@settings(max_examples=60, deadline=None)
+def test_all_subuniverses_matches_powerset_oracle(alg):
+    brute = [
+        s
+        for r in range(alg.size + 1)
+        for s in itertools.combinations(range(alg.size), r)
+        if closed_by_definition(alg, s)
+    ]
+    assert all_subuniverses(alg) == brute  # sorted by (size, elements)
+    # a bound of 64 cells still holds the at most 16 subuniverses of 4 elements,
+    # and closes one row per chunk for a ternary operation
+    with mock.patch("uaforge.core.MAX_UNIVERSE", 64):
+        assert all_subuniverses(alg) == brute
+
+
+def test_all_subuniverses_bounds_the_cells_held():
+    # a constant and the identity map: each of the 2^19 sets holding the
+    # constant is a subuniverse
+    sig = Signature((("c", 0), ("g", 1)))
+    alg = make_algebra("id20", sig, 20, {"c": (0,), "g": tuple(range(20))})
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="hold over 1000000 cells"):
+        all_subuniverses(alg)
+    assert time.perf_counter() - start < 5
 
 
 def test_is_closed_subset_definition():
