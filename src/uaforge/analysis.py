@@ -14,7 +14,8 @@ the first map found.
 
 HS classification builds one congruence lattice and one set of quotients per
 isomorphism type of subalgebra.  Each later subalgebra of a type takes the
-first one's rows over through an isomorphism found by that search.
+first one's rows over through an isomorphism found by that search.  SI (= FSI)
+is decided once per isomorphism class of quotient, when the class opens.
 """
 
 from __future__ import annotations
@@ -234,17 +235,19 @@ class HSClassification:
 def hs_classify(A: FiniteAlgebra) -> HSClassification:
     """Classify every quotient of every subalgebra of A.
 
-    FSI/SI status is decided inside the subalgebra's congruence lattice: the
-    congruences of a quotient sub/theta correspond to the lattice interval
-    above theta, so no quotient lattices are recomputed.  A subalgebra
-    isomorphic to the first one of an earlier type, by sigma, takes over
-    that type's rows: sub/sigma(theta) is isomorphic to first/theta, so it
-    has the same size, SI flag and class.
+    SI is an isomorphism invariant, so it is decided once per class, when a
+    quotient opens the class, inside that subalgebra's congruence lattice:
+    the congruences of sub/theta correspond to the lattice interval above
+    theta, so no quotient lattices are recomputed.  On a finite algebra SI
+    is also FSI.  A subalgebra isomorphic to the first one of an earlier
+    type, by sigma, takes over that type's rows: sub/sigma(theta) is
+    isomorphic to first/theta, so it is in the same class.
     """
     entries: list[HSEntry] = []
     reps: list[FiniteAlgebra] = []
-    # per isomorphism type: its first subalgebra and (theta, size, si, class) rows
-    types: list[tuple[FiniteAlgebra, list[tuple]]] = []
+    si_of: list[bool] = []  # per class
+    # per isomorphism type: its first subalgebra and (theta, class) rows
+    types: list[tuple[FiniteAlgebra, list[tuple[Partition, int]]]] = []
     for s in all_subuniverses(A):
         sub, _embed = subalgebra(A, s)
         n = sub.size
@@ -254,8 +257,8 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
                 sigma = maps[0]
                 rows = sorted(
                     (
-                        (Partition.from_pairs(n, ((sigma[x], sigma[t.rep[x]]) for x in range(n))), *rest)
-                        for t, *rest in first_rows
+                        (Partition.from_pairs(n, ((sigma[x], sigma[t.rep[x]]) for x in range(n))), cls)
+                        for t, cls in first_rows
                     ),
                     key=lambda row: (-row[0].num_blocks, row[0].rep),  # congruence_lattice's order
                 )
@@ -268,12 +271,13 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
                 cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
                 if cls is None:
                     reps.append(q)
+                    si_of.append(quotient_is_si(lat, theta))
                     cls = len(reps) - 1
-                # on a finite algebra SI is also FSI
-                rows.append((theta, q.size, quotient_is_si(lat, theta), cls))
+                rows.append((theta, cls))
             types.append((sub, rows))
         entries.extend(
-            HSEntry(s, theta, size, fsi=si, si=si, iso_class=cls) for theta, size, si, cls in rows
+            HSEntry(s, theta, reps[cls].size, fsi=si_of[cls], si=si_of[cls], iso_class=cls)
+            for theta, cls in rows
         )
     return HSClassification(A.name, tuple(entries), tuple(reps))
 

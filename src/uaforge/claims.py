@@ -21,6 +21,7 @@ from .analysis import (
     automorphisms,
     check_amalgamation,
     check_epic_subalgebras,
+    compose,
     embeddings,
     hs_classify,
     is_chain,
@@ -437,15 +438,13 @@ def _aut_fix(ws, n):
     e = Bn.index_of("e")
     checked = 0
     for s, (_sub, _e) in ws.bn_subalgebras(n):
-        inside = set(s)
-        for b in range(Bn.size):
-            if b in inside or b == e:
-                continue
-            if not any(
-                all(h[a] == a for a in inside) and h[b] != b for h in aut
-            ):
-                return False, f"no automorphism fixes {_names(Bn, s)} and moves {Bn.element_name(b)}"
-            checked += 1
+        stabilizer = [h for h in aut if all(h[a] == a for a in s)]
+        moved = {b for h in stabilizer for b in range(Bn.size) if h[b] != b}
+        outside = set(range(Bn.size)) - set(s) - {e}
+        unmoved = outside - moved
+        if unmoved:
+            return False, f"no automorphism fixes {_names(Bn, s)} and moves {Bn.element_name(min(unmoved))}"
+        checked += len(outside)
     return True, f"{checked} (subalgebra, element) instances witnessed"
 
 
@@ -455,14 +454,14 @@ def _aut_rigid(ws, n):
     aut = ws.aut_bn(n)
     pairs = 0
     for _s, (sub, _e) in ws.bn_subalgebras(n):
-        embs = embeddings(sub, Bn)
-        for g in embs:
-            for h in embs:
-                if not any(
-                    all(g[x] == i[h[x]] for x in range(sub.size)) for i in aut
-                ):
-                    return False, f"embeddings of {sub.name} not related by any automorphism"
-                pairs += 1
+        embs = embeddings(sub, Bn).maps
+        # aut must be the whole group (S3.AUT-SIGMA checks it): then two
+        # embeddings differ by an automorphism exactly when both lie in the
+        # orbit of the first embedding
+        orbit = {compose(i, embs[0]) for i in aut}
+        if not orbit.issuperset(embs):
+            return False, f"embeddings of {sub.name} not related by any automorphism"
+        pairs += len(embs) ** 2
     return True, f"{pairs} embedding pairs rigid"
 
 

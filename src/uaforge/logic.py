@@ -857,11 +857,6 @@ def format_term(t: Term, names=None) -> str:
 def format_formula(f: Formula, names=None) -> str:
     """Render back into the surface syntax (re-parseable)."""
 
-    def name(i):
-        if names is not None and i in names:
-            return names[i]
-        return f"v{i}"
-
     def go(f, min_level):
         if isinstance(f, Eq):
             return f"{format_term(f.lhs, names)} = {format_term(f.rhs, names)}"
@@ -879,7 +874,8 @@ def format_formula(f: Formula, names=None) -> str:
             level = _LEVEL_IMPL
         elif isinstance(f, (Exists, Forall)):
             kw = "exists" if isinstance(f, Exists) else "forall"
-            s = f"{kw} {' '.join(name(v) for v in f.vars)} . {go(f.body, _LEVEL_QUANT)}"
+            bound = " ".join(format_term(Variable(v), names) for v in f.vars)
+            s = f"{kw} {bound} . {go(f.body, _LEVEL_QUANT)}"
             level = _LEVEL_QUANT
         else:
             raise TypeError(f"not a formula: {f!r}")

@@ -258,6 +258,14 @@ def test_hs_classify_matches_definition_on_squares(X):
     assert_hs_classify_matches_definition(direct_product([X, X]))
 
 
+@pytest.mark.parametrize("cid", ["An?n=4", "Bn?n=4"])
+def test_hs_classify_decides_si_once_per_class(cid):
+    A = catalog.build(cid)
+    with mock.patch("uaforge.analysis.quotient_is_si", wraps=quotient_is_si) as spy:
+        hs = hs_classify(A)
+    assert spy.call_count == len(hs.representatives)
+
+
 def test_amalgamation_positive_and_negative():
     b3 = catalog.build("Bn?n=3")
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from uaforge import catalog, claims
+from uaforge.analysis import HomSet, embeddings
 from uaforge.core import AlgebraError
 from uaforge.claims import (
     Workspace,
@@ -143,3 +144,60 @@ def test_phi_claims_catch_a_wrong_table(monkeypatch):
     assert char.evidence == f"k=1: relation differs at {[(atom, zero), (atom, one)]}"
     assert fkn.status == "fail"
     assert fkn.evidence == f"k=1: wrong value at {An.element_name(atom)}"
+
+
+def aut_fix_by_elements(ws, n):
+    """S3.AUT-FIX by definition: one search of the automorphisms per
+    (subalgebra, element) instance."""
+    Bn, aut = ws.bn(n), ws.aut_bn(n)
+    e = Bn.index_of("e")
+    checked = 0
+    for s, _sub in ws.bn_subalgebras(n):
+        for b in range(Bn.size):
+            if b in s or b == e:
+                continue
+            if not any(all(h[a] == a for a in s) and h[b] != b for h in aut):
+                return False, f"no automorphism fixes {claims._names(Bn, s)} and moves {Bn.element_name(b)}"
+            checked += 1
+    return True, f"{checked} (subalgebra, element) instances witnessed"
+
+
+def aut_rigid_by_pairs(ws, n):
+    """S3.AUT-RIGID by definition: every pair of embeddings against every
+    automorphism."""
+    Bn, aut = ws.bn(n), ws.aut_bn(n)
+    pairs = 0
+    for _s, (sub, _e) in ws.bn_subalgebras(n):
+        embs = embeddings(sub, Bn)
+        for g in embs:
+            for h in embs:
+                if not any(all(g[x] == i[h[x]] for x in range(sub.size)) for i in aut):
+                    return False, f"embeddings of {sub.name} not related by any automorphism"
+                pairs += 1
+    return True, f"{pairs} embedding pairs rigid"
+
+
+def claim_matches_definition(claim_id, definition, n, ws):
+    r = run_claim(claim_id, n=n, workspace=ws)
+    assert (r.status == "pass", r.evidence) == definition(ws, n)
+    return r
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_aut_claims_match_their_definitions(n):
+    ws = Workspace()
+    for claim_id, definition in (("S3.AUT-FIX", aut_fix_by_elements), ("S3.AUT-RIGID", aut_rigid_by_pairs)):
+        assert claim_matches_definition(claim_id, definition, n, ws).status == "pass"
+
+
+def test_aut_claims_fail_like_their_definitions_on_the_trivial_group(monkeypatch):
+    # the identity alone is a group, but it fixes everything and relates no
+    # two distinct embeddings
+    ws = Workspace()
+    size = ws.bn(3).size
+    monkeypatch.setattr(Workspace, "aut_bn", lambda self, n: HomSet((tuple(range(size)),)))
+    fix = claim_matches_definition("S3.AUT-FIX", aut_fix_by_elements, 3, ws)
+    rigid = claim_matches_definition("S3.AUT-RIGID", aut_rigid_by_pairs, 3, ws)
+    assert fix.status == rigid.status == "fail"
+    assert fix.evidence.startswith("no automorphism fixes ")
+    assert rigid.evidence.endswith(" not related by any automorphism")
