@@ -1,16 +1,18 @@
 """Homomorphisms, isomorphism, HS classification, amalgamation.
 
 The hom search binds images element by element with full constraint
-propagation: every time an element's image is fixed, each operation is
-applied to the argument tuples of mapped elements that contain it, which
-forces the images of everything the mapped set generates.  Propagation
+propagation, which forces the images of everything the mapped set generates.
+Propagation is semi-naive: each newly mapped element, when it leaves the
+queue, is combined only with itself and the elements that left before it,
+so every argument tuple is checked once, when its last element leaves.  It
 reads the tables as nested Python lists: for a binary operation the row and
-the column of the new element, for any other arity its argument tuples.
+the column of that element, for any other arity its argument tuples.
 Branching only happens on a greedily chosen generating set, so e.g.
 automorphisms of the powerset-style algebras branch only over atom images.
-Every map that survives the search is re-checked against the full tables
-independently.  Isomorphism is this search over bijections alone, stopped at
-the first map found.
+The maps the search finds are re-checked against the full tables
+independently, in one batched numpy check per call, and a map that fails it
+raises RuntimeError, since it marks a fault in the search.  Isomorphism is
+this search over bijections alone, stopped at the first map found.
 
 HS classification builds one congruence lattice and one set of quotients per
 isomorphism type of subalgebra.  Each later subalgebra of a type takes the
@@ -39,17 +41,32 @@ from .core import (
 from .partitions import Partition
 
 
+def _commuting(A: FiniteAlgebra, B: FiniteAlgebra, maps: np.ndarray) -> np.ndarray:
+    """Which rows of a (k, A.size) stack of maps into B commute with every operation.
+
+    Row m commutes with f when m indexed by A's grid of f equals B's grid of f
+    indexed by f's arity many views of m, each broadcast along one argument
+    axis.  The rows go through in blocks of at most MAX_UNIVERSE table cells.
+    """
+    k, n = maps.shape
+    ok = np.ones(k, dtype=bool)
+    for sym, grid in A.grids.items():
+        r = grid.ndim
+        step = max(1, MAX_UNIVERSE // grid.size)
+        for i in range(0, k, step):
+            m = maps[i : i + step]
+            axes = tuple(m.reshape((len(m),) + (1,) * j + (n,) + (1,) * (r - 1 - j)) for j in range(r))
+            ok[i : i + step] &= (m[:, grid] == B.grids[sym][axes]).reshape(len(m), -1).all(axis=1)
+    return ok
+
+
 def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
     """Full-table commutation check; mapping is indexable by A's elements."""
-    if A.signature != B.signature:
+    if A.signature != B.signature or len(mapping) != A.size:
         return False
-    if len(mapping) != A.size:
+    if not all(v in range(B.size) for v in mapping):
         return False
-    m = np.asarray(mapping)
-    return all(
-        np.array_equal(m[grid], B.grids[sym][np.ix_(*[m] * grid.ndim)])
-        for sym, grid in A.grids.items()
-    )
+    return bool(_commuting(A, B, np.array([mapping], dtype=np.int64))[0])
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,8 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     kind restricts to injective or bijective maps (pruned during search, not
     post-filtered).  Raises SizeGuardError when the search visits over
     MAX_UNIVERSE nodes (partial maps closed under propagation), or when the
-    maps found hold over MAX_UNIVERSE cells.
+    maps found hold over MAX_UNIVERSE cells.  Raises RuntimeError when a map
+    found fails the full-table check.
     """
     if kind not in ("all", "injective", "bijective"):
         raise AlgebraError(f"unknown hom kind {kind!r}")
@@ -87,47 +105,60 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
         (A.grids[sym].tolist(), B.grids[sym].tolist(), ar) for sym, ar in A.signature.symbols if ar
     ]
 
-    def assign(img, x, v, queue) -> bool:
-        # map x to v, or confirm that it is; fail on a clash or a repeated image
-        if img[x] is None:
-            if injective and v in img:
+    # a branch is (img, used, popped): the partial map, for injective kinds the
+    # images taken (else None), and the mapped elements propagation has popped
+    def bind(img, used, x, v, queue) -> bool:
+        # img[x] is not v: map x to v, failing on a clash or a repeated image
+        if img[x] is not None:
+            return False
+        if used is not None:
+            if used[v]:
                 return False
-            img[x] = v
-            queue.append(x)
-            return True
-        return img[x] == v
+            used[v] = True
+        img[x] = v
+        queue.append(x)
+        return True
 
-    def propagate(img, queue) -> bool:
+    def propagate(img, used, popped, queue) -> bool:
         # force images of everything the mapped set generates; fail on clash
-        # (with no non-constant operation, nothing is forced)
+        # (with no non-constant operation, nothing is forced).  Semi-naive: a
+        # popped e meets only itself and the elements popped before it, so each
+        # argument tuple is checked once, when its last element is popped.
         while nonconst and queue:
             e = queue.pop()
-            mapped = [x for x in range(A.size) if img[x] is not None]
-            others = [x for x in mapped if x != e]
+            popped.append(e)
+            earlier = popped[:-1]
+            ie = img[e]
             for ta, tb, ar in nonconst:
-                if ar == 2:
+                if ar == 1:
+                    x, v = ta[e], tb[ie]
+                    if img[x] != v and not bind(img, used, x, v, queue):
+                        return False
+                elif ar == 2:
                     # f(e, x) along the row of e, f(x, e) down its column
-                    row_a, row_b = ta[e], tb[img[e]]
-                    for x in mapped:
-                        if not assign(img, row_a[x], row_b[img[x]], queue):
+                    row_a, row_b = ta[e], tb[ie]
+                    for x in popped:
+                        y, v = row_a[x], row_b[img[x]]
+                        if img[y] != v and not bind(img, used, y, v, queue):
                             return False
-                    for x in others:
-                        if not assign(img, ta[x][e], tb[img[x]][img[e]], queue):
+                    for x in earlier:
+                        y, v = ta[x][e], tb[img[x]][ie]
+                        if img[y] != v and not bind(img, used, y, v, queue):
                             return False
                 else:
                     # the tuples whose first e is in slot i: earlier slots avoid e
                     for i in range(ar):
-                        for args in product(*[others] * i, [e], *[mapped] * (ar - 1 - i)):
-                            r, v = ta, tb
+                        for args in product(*[earlier] * i, [e], *[popped] * (ar - 1 - i)):
+                            y, v = ta, tb
                             for x in args:
-                                r, v = r[x], v[img[x]]
-                            if not assign(img, r, v, queue):
+                                y, v = y[x], v[img[x]]
+                            if img[y] != v and not bind(img, used, y, v, queue):
                                 return False
         return True
 
     nodes = 0
 
-    def search(img):
+    def search(img, used, popped):
         nonlocal nodes
         if first_only and out:
             return
@@ -137,21 +168,29 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
         try:
             e = img.index(None)
         except ValueError:
-            if is_homomorphism(A, B, img):
-                out.append(tuple(img))
-                if len(out) * A.size > MAX_UNIVERSE:
-                    raise SizeGuardError(f"homs {A.name} -> {B.name} hold over {MAX_UNIVERSE} cells")
+            out.append(tuple(img))
+            if len(out) * A.size > MAX_UNIVERSE:
+                raise SizeGuardError(f"homs {A.name} -> {B.name} hold over {MAX_UNIVERSE} cells")
             return
         for v in range(B.size):
-            img2, queue = list(img), []
-            if assign(img2, e, v, queue) and propagate(img2, queue):
-                search(img2)
+            if used is not None and used[v]:
+                continue
+            img2, popped2, queue = list(img), list(popped), []
+            used2 = None if used is None else list(used)
+            if bind(img2, used2, e, v, queue) and propagate(img2, used2, popped2, queue):
+                search(img2, used2, popped2)
 
-    img0: list = [None] * A.size
-    queue0: list = []
-    if all(assign(img0, A.const(c), B.const(c), queue0) for c in A.signature.constants()):
-        if propagate(img0, queue0):
-            search(img0)
+    img0, used0, popped0, queue0 = [None] * A.size, [False] * B.size if injective else None, [], []
+    consts = [(A.const(c), B.const(c)) for c in A.signature.constants()]
+    if all(img0[x] == v or bind(img0, used0, x, v, queue0) for x, v in consts):
+        if propagate(img0, used0, popped0, queue0):
+            search(img0, used0, popped0)
+    # propagation checked every argument tuple, so a map the independent
+    # full-table check rejects is a fault in the search
+    ok = _commuting(A, B, np.array(out, dtype=np.int64).reshape(len(out), A.size))
+    if not ok.all():
+        bad = out[int(np.flatnonzero(~ok)[0])]
+        raise RuntimeError(f"hom search {A.name} -> {B.name} found {bad}, which is not a homomorphism")
     return HomSet(tuple(out))
 
 

@@ -1,13 +1,17 @@
 import itertools
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uaforge import catalog
 from uaforge.analysis import (
+    _commuting,
     atom_permutation_automorphism,
+    atoms_of,
     automorphisms,
     check_amalgamation,
     check_epic_subalgebras,
@@ -53,9 +57,9 @@ def small_algebras(draw, max_size=3, sig=SIG):
 
 
 @st.composite
-def algebra_pairs(draw):
+def algebra_pairs(draw, max_size=3):
     sig = draw(st.sampled_from(SIGNATURES))
-    return draw(small_algebras(sig=sig)), draw(small_algebras(sig=sig))
+    return draw(small_algebras(max_size, sig)), draw(small_algebras(max_size, sig))
 
 
 def commutes(A, B, m):
@@ -96,10 +100,11 @@ def test_homs_match_brute_force(pair):
     leaf_checks = []
 
     def recorded(*args):
-        leaf_checks.append(is_homomorphism(*args))
-        return leaf_checks[-1]
+        ok = _commuting(*args)
+        leaf_checks.extend(ok.tolist())
+        return ok
 
-    with mock.patch("uaforge.analysis.is_homomorphism", recorded):
+    with mock.patch("uaforge.analysis._commuting", recorded):
         got = homs(A, B)
         inj = homs(A, B, kind="injective")
         bij = homs(A, B, kind="bijective")
@@ -113,6 +118,48 @@ def test_homs_match_brute_force(pair):
     brute_bij = [m for m in expected if A.size == B.size and len(set(m)) == A.size]
     assert list(bij.maps) == brute_bij
     assert is_isomorphic(A, B) == bool(brute_bij)
+
+
+@given(algebra_pairs(max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_every_kind_and_first_only_match_brute_force(pair):
+    # up to 4^4 candidate maps per pair; A -> A always has the identity
+    A, B = pair
+    for src, dst in ((A, B), (A, A)):
+        expected = brute_homs(src, dst)
+        injective = [m for m in expected if len(set(m)) == src.size]
+        wanted = {
+            "all": expected,
+            "injective": injective,
+            "bijective": injective if src.size == dst.size else [],
+        }
+        for kind, maps in wanted.items():
+            assert list(homs(src, dst, kind).maps) == maps
+            assert list(homs(src, dst, kind, first_only=True).maps) == maps[:1]
+
+
+def test_homs_raise_on_a_map_the_full_table_check_rejects():
+    b3 = catalog.build("Bn?n=3")
+    last = automorphisms(b3).maps[-1]
+
+    def reject_last(*args):
+        ok = _commuting(*args)
+        ok[-1] = False
+        return ok
+
+    with mock.patch("uaforge.analysis._commuting", reject_last):
+        with pytest.raises(RuntimeError, match=re.escape(str(last))):
+            automorphisms(b3)
+
+
+def test_full_table_check_in_blocks():
+    # a block of at most 200 table cells holds two maps of a binary table
+    b3 = catalog.build("Bn?n=3")
+    maps = np.array(list(itertools.product((0, 8), repeat=b3.size)))
+    want = [is_homomorphism(b3, b3, m) for m in maps.tolist()]
+    assert any(want) and not all(want)
+    with mock.patch("uaforge.analysis.MAX_UNIVERSE", 200):
+        assert _commuting(b3, b3, maps).tolist() == want
 
 
 def test_injective_homs_reject_images_forced_in_one_step():
@@ -139,6 +186,15 @@ def test_is_homomorphism_requires_matching_signature():
     other = make_algebra("o", SIG, 3, {"f": (0,) * 9, "g": (0,) * 3, "c": (0,)})
     assert not is_homomorphism(A, other, (0, 0, 0))
     assert not is_homomorphism(A, A, (0, 0))  # wrong length
+
+
+def test_is_homomorphism_rejects_images_outside_the_target():
+    # g constantly 0: (0, 1) commutes, so only the range check rejects
+    # (0, -1), which numpy's negative indexing would read as (0, 1)
+    A = make_algebra("A", Signature((("g", 1),)), 2, {"g": (0, 0)})
+    assert is_homomorphism(A, A, (0, 1))
+    assert not is_homomorphism(A, A, (0, -1))
+    assert not is_homomorphism(A, A, (0, 2))
 
 
 def test_endo_auto_embed_wrappers():
@@ -264,6 +320,26 @@ def test_hs_classify_decides_si_once_per_class(cid):
     with mock.patch("uaforge.analysis.quotient_is_si", wraps=quotient_is_si) as spy:
         hs = hs_classify(A)
     assert spy.call_count == len(hs.representatives)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_automorphisms_of_Bn_are_the_atom_permutations(n):
+    b = catalog.build(f"Bn?n={n}")
+    atoms = atoms_of(b)
+    induced = set()
+    for perm in itertools.permutations(atoms):
+        mapping, ok = atom_permutation_automorphism(b, dict(zip(atoms, perm)))
+        assert ok
+        induced.add(mapping)
+    auts = automorphisms(b).maps
+    assert set(auts) == induced
+    assert list(auts) == sorted(auts)
+
+
+def test_endomorphisms_of_B3_commute():
+    b3 = catalog.build("Bn?n=3")
+    ends = endomorphisms(b3).maps
+    assert ends and all(commutes(b3, b3, m) for m in ends)
 
 
 def test_amalgamation_positive_and_negative():
