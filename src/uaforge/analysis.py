@@ -37,27 +37,9 @@ from .core import (
     guard_size,
     quotient,
     subalgebra,
+    _commuting,
 )
 from .partitions import Partition
-
-
-def _commuting(A: FiniteAlgebra, B: FiniteAlgebra, maps: np.ndarray) -> np.ndarray:
-    """Which rows of a (k, A.size) stack of maps into B commute with every operation.
-
-    Row m commutes with f when m indexed by A's grid of f equals B's grid of f
-    indexed by f's arity many views of m, each broadcast along one argument
-    axis.  The rows go through in blocks of at most MAX_UNIVERSE table cells.
-    """
-    k, n = maps.shape
-    ok = np.ones(k, dtype=bool)
-    for sym, grid in A.grids.items():
-        r = grid.ndim
-        step = max(1, MAX_UNIVERSE // grid.size)
-        for i in range(0, k, step):
-            m = maps[i : i + step]
-            axes = tuple(m.reshape((len(m),) + (1,) * j + (n,) + (1,) * (r - 1 - j)) for j in range(r))
-            ok[i : i + step] &= (m[:, grid] == B.grids[sym][axes]).reshape(len(m), -1).all(axis=1)
-    return ok
 
 
 def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
@@ -468,14 +450,16 @@ def atom_permutation_automorphism(alg: FiniteAlgebra, sigma) -> tuple[tuple[int,
     """
     top = alg.const("one")
     zero = alg.const("zero")
+    atoms = atoms_of(alg)
     out = []
     for a in range(alg.size):
         if a == top:
             out.append(top)
             continue
         img = zero
-        for p in atoms_below(alg, a):
-            img = alg.op("join", img, sigma[p])
+        for p in atoms:
+            if lattice_leq(alg, p, a):
+                img = alg.op("join", img, sigma[p])
         out.append(img)
     mapping = tuple(out)
     ok = (

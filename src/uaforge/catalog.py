@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .analysis import atoms_below, atoms_of
+from .analysis import atom_permutation_automorphism, atoms_of, lattice_leq
 from .core import (
     AlgebraError,
     Apply,
@@ -293,28 +293,32 @@ def build_phi(k: int, n: int) -> tuple[Formula, dict[int, str]]:
 def expected_phi_value(alg: FiniteAlgebra, k: int, a: int):
     """Unique b with phi(k, n)(a, b), from the atom-count description."""
     zero, one = alg.const("zero"), alg.const("one")
+    atoms = atoms_of(alg)
     # e is the join of all atoms, the largest element below 1
     e = zero
-    for p in atoms_of(alg):
+    for p in atoms:
         e = alg.op("join", e, p)
     if a in (zero, e, one):
         return one
-    return one if len(atoms_below(alg, a)) <= k else e
+    return one if sum(lattice_leq(alg, p, a) for p in atoms) <= k else e
 
 
-def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
+def pp_expand(alg: FiniteAlgebra, ops, name=None, automorphisms=()) -> FiniteAlgebra:
     """Expand with operations defined by pp formulas.
 
     ops is an iterable of (symbol, formula, arity) with the formula's
     designated variables 0..arity (output last).  Every formula must define a
     total function; a missing argument tuple raises TotalityError.
+    automorphisms (permutations of alg's universe) go to
+    induced_partial_function, which checks them and then solves one argument
+    tuple per orbit; the tables are those of the plain per-tuple solve.
     """
     new_syms = list(alg.signature.symbols)
     tables = dict(alg.tables)
     for symbol, formula, arity in ops:
         if not is_pp(formula):
             raise AlgebraError(f"{symbol!r} is not defined by a pp formula")
-        values = induced_partial_function(alg, formula, arity)
+        values = induced_partial_function(alg, formula, arity, automorphisms=automorphisms)
         try:
             tables[symbol] = tuple(values[args] for args in product(range(alg.size), repeat=arity))
         except KeyError as exc:  # the first argument tuple without an output
@@ -330,10 +334,21 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
 
 
 def build_Bn(n: int) -> FiniteAlgebra:
-    """An expanded with lf1..lf(n-1), the functions defined by phi(k, n)."""
+    """An expanded with lf1..lf(n-1), the functions defined by phi(k, n).
+
+    phi(k, n) is first-order, so lf_k commutes with every automorphism of An.
+    pp_expand gets the automorphisms induced by one transposition and one
+    n-cycle of the atoms, which generate all n! atom permutations, and solves
+    phi(k, n) once per atom-count orbit: n+2 solves per k instead of 2^n+1.
+    """
     base = build(f"An?n={n}")
     ops = [(f"lf{k}", build(f"phi?k={k}&n={n}")[0], 1) for k in range(1, n)]
-    return pp_expand(base, ops, name=f"B{n}")
+    atoms = atoms_of(base)
+    # swap the first two atoms; cycle every atom to the next
+    swap = dict(zip(atoms, atoms[1::-1] + atoms[2:]))
+    cycle = dict(zip(atoms, atoms[1:] + atoms[:1]))
+    gens = [atom_permutation_automorphism(base, sigma)[0] for sigma in (swap, cycle)]
+    return pp_expand(base, ops, name=f"B{n}", automorphisms=gens)
 
 
 def trivial_algebra(sig: Signature) -> FiniteAlgebra:

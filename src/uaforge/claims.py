@@ -18,6 +18,7 @@ from itertools import permutations, product
 from . import catalog
 from .analysis import (
     atom_permutation_automorphism,
+    atoms_below,
     automorphisms,
     check_amalgamation,
     check_epic_subalgebras,
@@ -323,7 +324,7 @@ def _eq18(ws, n):
         for a in range(sub.size):
             if a != top:
                 join = sub.const("zero")
-                for p in catalog.atoms_below(sub, a):
+                for p in atoms_below(sub, a):
                     join = sub.op("join", join, p)
                 if join != a:
                     return False, f"(4) fails at {sub.element_name(a)} in {_names(sub, s)}"
@@ -341,8 +342,10 @@ def _eq18(ws, n):
 
 @_claim("S3.PHI-CHAR", "the defining formulas relate a to exactly the value picked by its atom count")
 def _phi_char(ws, n):
-    # pp_expand builds Bn only if phi(k, n) gives one output per argument,
-    # so the relation of phi(k, n) is the graph of lf_k
+    # pp_expand builds Bn only if phi(k, n) gives one output per argument:
+    # it solves one argument per automorphism orbit and carries the outputs
+    # over the orbit by verified automorphisms of An, so the relation of
+    # phi(k, n) is the graph of lf_k
     An, Bn = ws.an(n), ws.bn(n)
     checked = 0
     for k in range(1, n):
@@ -362,7 +365,8 @@ def _phi_char(ws, n):
 
 @_claim("S3.FKN", "each defining formula induces a total function matching the atom-count table")
 def _fkn(ws, n):
-    # totality and functionality are checked by pp_expand when it builds Bn
+    # totality and functionality are checked by pp_expand when it builds Bn,
+    # per automorphism orbit of the arguments, carried by verified automorphisms
     An, Bn = ws.an(n), ws.bn(n)
     for k in range(1, n):
         for a in range(An.size):

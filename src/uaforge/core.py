@@ -7,6 +7,9 @@ Code elsewhere indexes ``alg.grids[sym]``: the same table as a read-only numpy
 array of shape (size,)*r, so that ``grid[x1, .., xr]`` is the entry.  ``op``
 and ``eval_term`` are the scalar reference.
 
+``_commuting`` is the full-table homomorphism check: it tests a stack of maps
+against every operation's grid at once.
+
 ``sg_closure`` closes one generating set.  ``all_subuniverses`` closes each
 frontier of one-point extensions together, as the rows of one boolean array
 (``_close_rows``), in chunks whose tuple arrays hold at most MAX_UNIVERSE
@@ -217,6 +220,25 @@ class FiniteAlgebra:
     @property
     def is_trivial(self) -> bool:
         return self.size == 1
+
+
+def _commuting(A: FiniteAlgebra, B: FiniteAlgebra, maps: np.ndarray) -> np.ndarray:
+    """Which rows of a (k, A.size) stack of maps into B commute with every operation.
+
+    Row m commutes with f when m indexed by A's grid of f equals B's grid of f
+    indexed by f's arity many views of m, each broadcast along one argument
+    axis.  The rows go through in blocks of at most MAX_UNIVERSE table cells.
+    """
+    k, n = maps.shape
+    ok = np.ones(k, dtype=bool)
+    for sym, grid in A.grids.items():
+        r = grid.ndim
+        step = max(1, MAX_UNIVERSE // grid.size)
+        for i in range(0, k, step):
+            m = maps[i : i + step]
+            axes = tuple(m.reshape((len(m),) + (1,) * j + (n,) + (1,) * (r - 1 - j)) for j in range(r))
+            ok[i : i + step] &= (m[:, grid] == B.grids[sym][axes]).reshape(len(m), -1).all(axis=1)
+    return ok
 
 
 def make_algebra(name, signature, size, tables, element_names=None) -> FiniteAlgebra:

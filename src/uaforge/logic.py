@@ -66,6 +66,7 @@ from .core import (
     Variable,
     eval_term,
     term_variables,
+    _commuting,
 )
 
 # ---------------------------------------------------------------------------
@@ -555,7 +556,24 @@ class TotalityError(AlgebraError):
         self.arguments = arguments
 
 
-def induced_partial_function(alg: FiniteAlgebra, f: Formula, arity: int, var_order=None) -> dict:
+def _orbit(perms, args: tuple, outputs: tuple) -> dict:
+    """The orbit of args under the group perms generate, each tuple g(args)
+    with the outputs g(outputs), by breadth-first search over the generators
+    acting componentwise."""
+    orbit = {args: outputs}
+    queue = [args]
+    for a in queue:
+        for g in perms:
+            b = tuple(g[x] for x in a)
+            if b not in orbit:
+                orbit[b] = tuple(g[y] for y in orbit[a])
+                queue.append(b)
+    return orbit
+
+
+def induced_partial_function(
+    alg: FiniteAlgebra, f: Formula, arity: int, var_order=None, automorphisms=()
+) -> dict:
     """Partial function defined by f(x1..xn, y) with y the last variable, as
     a dict from each argument tuple that has an output to that output.
 
@@ -564,6 +582,15 @@ def induced_partial_function(alg: FiniteAlgebra, f: Formula, arity: int, var_ord
     Raises FunctionalityError on the first argument tuple (in lexicographic
     order) with two distinct outputs, naming its two smallest outputs, and
     SizeGuardError when there are over MAX_UNIVERSE argument tuples.
+
+    automorphisms are permutations of the universe, each checked to be an
+    automorphism of alg before any solve (AlgebraError if one is not).  The
+    relation f defines is invariant under every automorphism s, so the
+    outputs of s(a) are s(outputs(a)): a tuple that an earlier solve's orbit
+    reached takes its outputs from there, and only the first tuple of each
+    orbit is solved.  A tuple with two outputs has an orbit of such tuples,
+    and the first of them in lexicographic order is solved, so the result
+    and the errors are those of the plain solve.
     """
     if arity < 0:
         raise ArityError("arity must be non-negative")
@@ -575,15 +602,27 @@ def induced_partial_function(alg: FiniteAlgebra, f: Formula, arity: int, var_ord
     var_order = tuple(var_order) if var_order is not None else tuple(range(arity + 1))
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")
+    perms = [tuple(p) for p in automorphisms]
+    for p in perms:
+        if sorted(p) != list(range(alg.size)):
+            raise AlgebraError(f"{p} is not a permutation of the universe of {alg.name}")
+    ok = _commuting(alg, alg, np.array(perms, dtype=np.int64).reshape(len(perms), alg.size))
+    if not ok.all():
+        bad = perms[int(np.flatnonzero(~ok)[0])]
+        raise AlgebraError(f"{bad} is not an automorphism of {alg.name}")
     yvar = var_order[-1]
+    carried = {}  # outputs of the tuples that solved orbits reached, until the loop visits them
     values = {}
     for args in product(range(alg.size), repeat=arity):
-        env = dict(zip(var_order[:arity], args))
-        outputs = np.flatnonzero(project_exists(alg, f, (yvar,), env))
-        if len(outputs) > 1:
-            raise FunctionalityError(alg.name, args, int(outputs[0]), int(outputs[1]))
-        if len(outputs):
-            values[args] = int(outputs[0])
+        if args not in carried:
+            env = dict(zip(var_order[:arity], args))
+            outputs = tuple(np.flatnonzero(project_exists(alg, f, (yvar,), env)).tolist())
+            if len(outputs) > 1:
+                raise FunctionalityError(alg.name, args, outputs[0], outputs[1])
+            carried.update(_orbit(perms, args, outputs))
+        outputs = carried.pop(args)
+        if outputs:
+            values[args] = outputs[0]
     return values
 
 

@@ -158,7 +158,7 @@ def test_full_table_check_in_blocks():
     maps = np.array(list(itertools.product((0, 8), repeat=b3.size)))
     want = [is_homomorphism(b3, b3, m) for m in maps.tolist()]
     assert any(want) and not all(want)
-    with mock.patch("uaforge.analysis.MAX_UNIVERSE", 200):
+    with mock.patch("uaforge.core.MAX_UNIVERSE", 200):
         assert _commuting(b3, b3, maps).tolist() == want
 
 

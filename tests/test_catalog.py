@@ -1,11 +1,12 @@
 import itertools
+from unittest import mock
 
 import pytest
 
-from uaforge import catalog
+from uaforge import catalog, logic
+from uaforge.analysis import atoms_below
 from uaforge.catalog import (
     HEYTING_SIGNATURE,
-    atoms_below,
     atoms_of,
     build,
     build_An,
@@ -222,6 +223,21 @@ def test_Bn_expansion():
     assert b3.tables["lf1"] == (8, 8, 8, 7, 8, 7, 7, 8, 8)
     assert b3.tables["lf2"] == (8,) * 9
     assert reduct(b3, HEYTING_SIGNATURE.names()).tables == build("An?n=3").tables
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_Bn_orbit_build_equals_the_full_solve(n):
+    # pp_expand without automorphisms solves every argument: the oracle of the orbit build
+    an = build(f"An?n={n}")
+    ops = [(f"lf{k}", build(f"phi?k={k}&n={n}")[0], 1) for k in range(1, n)]
+    assert pp_expand(an, ops).tables == build(f"Bn?n={n}").tables
+
+
+def test_Bn_build_solves_once_per_orbit():
+    # A3 has 5 atom-count orbits (0, one atom, two atoms, e, 1), for each of lf1 and lf2
+    with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
+        catalog.build_Bn(3)
+    assert solve.call_count == 10
 
 
 def test_pp_expand_errors():
