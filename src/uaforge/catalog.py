@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .analysis import atom_permutation_automorphism, atoms_of, lattice_leq
+from .analysis import atoms_of, automorphisms, lattice_leq
 from .core import (
     AlgebraError,
     Apply,
@@ -303,22 +303,25 @@ def expected_phi_value(alg: FiniteAlgebra, k: int, a: int):
     return one if sum(lattice_leq(alg, p, a) for p in atoms) <= k else e
 
 
-def pp_expand(alg: FiniteAlgebra, ops, name=None, automorphisms=()) -> FiniteAlgebra:
+def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
     """Expand with operations defined by pp formulas.
 
     ops is an iterable of (symbol, formula, arity) with the formula's
     designated variables 0..arity (output last).  Every formula must define a
-    total function; a missing argument tuple raises TotalityError.
-    automorphisms (permutations of alg's universe) go to
-    induced_partial_function, which checks them and then solves one argument
-    tuple per orbit; the tables are those of the plain per-tuple solve.
+    total function; a missing argument tuple raises TotalityError.  The
+    automorphism group of alg, from the hom search, goes to
+    induced_partial_function, which solves one argument tuple per orbit; the
+    tables are those of the plain per-tuple solve.  The hom search's
+    SizeGuardError, for alg over SIZE_GUARD elements among others, comes
+    before any solve.
     """
+    group = automorphisms(alg).maps
     new_syms = list(alg.signature.symbols)
     tables = dict(alg.tables)
     for symbol, formula, arity in ops:
         if not is_pp(formula):
             raise AlgebraError(f"{symbol!r} is not defined by a pp formula")
-        values = induced_partial_function(alg, formula, arity, automorphisms=automorphisms)
+        values = induced_partial_function(alg, formula, arity, automorphisms=group)
         try:
             tables[symbol] = tuple(values[args] for args in product(range(alg.size), repeat=arity))
         except KeyError as exc:  # the first argument tuple without an output
@@ -337,18 +340,12 @@ def build_Bn(n: int) -> FiniteAlgebra:
     """An expanded with lf1..lf(n-1), the functions defined by phi(k, n).
 
     phi(k, n) is first-order, so lf_k commutes with every automorphism of An.
-    pp_expand gets the automorphisms induced by one transposition and one
-    n-cycle of the atoms, which generate all n! atom permutations, and solves
-    phi(k, n) once per atom-count orbit: n+2 solves per k instead of 2^n+1.
+    Those are the n! atom permutations, so pp_expand solves phi(k, n) once
+    per atom-count orbit: n+2 solves per k instead of 2^n+1.
     """
     base = build(f"An?n={n}")
     ops = [(f"lf{k}", build(f"phi?k={k}&n={n}")[0], 1) for k in range(1, n)]
-    atoms = atoms_of(base)
-    # swap the first two atoms; cycle every atom to the next
-    swap = dict(zip(atoms, atoms[1::-1] + atoms[2:]))
-    cycle = dict(zip(atoms, atoms[1:] + atoms[:1]))
-    gens = [atom_permutation_automorphism(base, sigma)[0] for sigma in (swap, cycle)]
-    return pp_expand(base, ops, name=f"B{n}", automorphisms=gens)
+    return pp_expand(base, ops, name=f"B{n}")
 
 
 def trivial_algebra(sig: Signature) -> FiniteAlgebra:

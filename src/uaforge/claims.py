@@ -18,7 +18,6 @@ from itertools import permutations, product
 from . import catalog
 from .analysis import (
     atom_permutation_automorphism,
-    atoms_below,
     automorphisms,
     check_amalgamation,
     check_epic_subalgebras,
@@ -324,8 +323,9 @@ def _eq18(ws, n):
         for a in range(sub.size):
             if a != top:
                 join = sub.const("zero")
-                for p in atoms_below(sub, a):
-                    join = sub.op("join", join, p)
+                for p in ats:
+                    if lattice_leq(sub, p, a):
+                        join = sub.op("join", join, p)
                 if join != a:
                     return False, f"(4) fails at {sub.element_name(a)} in {_names(sub, s)}"
             for b in ats:

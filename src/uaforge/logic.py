@@ -556,21 +556,6 @@ class TotalityError(AlgebraError):
         self.arguments = arguments
 
 
-def _orbit(perms, args: tuple, outputs: tuple) -> dict:
-    """The orbit of args under the group perms generate, each tuple g(args)
-    with the outputs g(outputs), by breadth-first search over the generators
-    acting componentwise."""
-    orbit = {args: outputs}
-    queue = [args]
-    for a in queue:
-        for g in perms:
-            b = tuple(g[x] for x in a)
-            if b not in orbit:
-                orbit[b] = tuple(g[y] for y in orbit[a])
-                queue.append(b)
-    return orbit
-
-
 def induced_partial_function(
     alg: FiniteAlgebra, f: Formula, arity: int, var_order=None, automorphisms=()
 ) -> dict:
@@ -585,12 +570,14 @@ def induced_partial_function(
 
     automorphisms are permutations of the universe, each checked to be an
     automorphism of alg before any solve (AlgebraError if one is not).  The
-    relation f defines is invariant under every automorphism s, so the
-    outputs of s(a) are s(outputs(a)): a tuple that an earlier solve's orbit
-    reached takes its outputs from there, and only the first tuple of each
-    orbit is solved.  A tuple with two outputs has an orbit of such tuples,
-    and the first of them in lexicographic order is solved, so the result
-    and the errors are those of the plain solve.
+    relation f defines is invariant under every automorphism g, so the
+    outputs of g(a) are g(outputs(a)): each solve also gives the outputs of
+    g(a) for every g given, and a tuple that an earlier solve reached is not
+    solved.  Any set of automorphisms is sound, closed or not: a tuple with
+    two outputs is reached only from another such tuple, so the first of
+    them in lexicographic order is solved, and the result and the errors are
+    those of the plain solve.  Given the whole group, one tuple per orbit is
+    solved.
     """
     if arity < 0:
         raise ArityError("arity must be non-negative")
@@ -611,7 +598,8 @@ def induced_partial_function(
         bad = perms[int(np.flatnonzero(~ok)[0])]
         raise AlgebraError(f"{bad} is not an automorphism of {alg.name}")
     yvar = var_order[-1]
-    carried = {}  # outputs of the tuples that solved orbits reached, until the loop visits them
+    perms.append(tuple(range(alg.size)))  # the solved tuple itself
+    carried = {}  # outputs of the tuples that earlier solves reached
     values = {}
     for args in product(range(alg.size), repeat=arity):
         if args not in carried:
@@ -619,7 +607,7 @@ def induced_partial_function(
             outputs = tuple(np.flatnonzero(project_exists(alg, f, (yvar,), env)).tolist())
             if len(outputs) > 1:
                 raise FunctionalityError(alg.name, args, outputs[0], outputs[1])
-            carried.update(_orbit(perms, args, outputs))
+            carried.update({tuple(g[x] for x in args): tuple(g[y] for y in outputs) for g in perms})
         outputs = carried.pop(args)
         if outputs:
             values[args] = outputs[0]

@@ -30,6 +30,7 @@ from uaforge.analysis import (
 )
 from uaforge.congruences import congruence_lattice, quotient_is_si
 from uaforge.core import (
+    AlgebraError,
     Signature,
     SizeGuardError,
     all_subuniverses,
@@ -169,6 +170,27 @@ def test_injective_homs_reject_images_forced_in_one_step():
     B = make_algebra("B", SIG, 3, {"f": (1,) * 9, "g": (1, 1, 1), "c": (0,)})
     assert homs(A, B).maps == ((0, 1, 1),)
     assert homs(A, B, kind="injective").maps == ()
+
+
+def test_hom_search_stops_past_the_node_bound():
+    # images of the identity's fixed points must be fixed by the swap of 4 and 5:
+    # 1 + 4 + 12 + 24 + 24 = 65 nodes place four elements and leave none for the fifth
+    sig = Signature((("s", 1),))
+    I6 = make_algebra("I6", sig, 6, {"s": (0, 1, 2, 3, 4, 5)})
+    S6 = make_algebra("S6", sig, 6, {"s": (0, 1, 2, 3, 5, 4)})
+    with mock.patch("uaforge.analysis.MAX_UNIVERSE", 64):
+        with pytest.raises(SizeGuardError, match="visits over 64 nodes"):
+            homs(I6, S6, "bijective", first_only=True)
+    with mock.patch("uaforge.analysis.MAX_UNIVERSE", 65):
+        assert homs(I6, S6, "bijective", first_only=True).maps == ()
+
+
+def test_homs_refuse_an_unknown_kind_and_mismatched_signatures():
+    a3 = catalog.build("An?n=3")
+    with pytest.raises(AlgebraError, match="unknown hom kind 'surjective'"):
+        homs(a3, a3, "surjective")
+    with pytest.raises(AlgebraError, match="common signature"):
+        homs(a3, catalog.build("Bn?n=3"))
 
 
 @given(small_algebras(), small_algebras())

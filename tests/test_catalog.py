@@ -19,7 +19,9 @@ from uaforge.catalog import (
     trivial_algebra,
 )
 from uaforge.core import (
+    SIZE_GUARD,
     AlgebraError,
+    Signature,
     SizeGuardError,
     all_subuniverses,
     is_closed_subset,
@@ -34,6 +36,7 @@ from uaforge.logic import (
     free_variables,
     induced_partial_function,
     is_pp,
+    parse_formula,
 )
 
 
@@ -227,17 +230,32 @@ def test_Bn_expansion():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_Bn_orbit_build_equals_the_full_solve(n):
-    # pp_expand without automorphisms solves every argument: the oracle of the orbit build
-    an = build(f"An?n={n}")
-    ops = [(f"lf{k}", build(f"phi?k={k}&n={n}")[0], 1) for k in range(1, n)]
-    assert pp_expand(an, ops).tables == build(f"Bn?n={n}").tables
+    # induced_partial_function without automorphisms solves every argument:
+    # the oracle of the orbit build
+    an, bn = build(f"An?n={n}"), build(f"Bn?n={n}")
+    for k in range(1, n):
+        values = induced_partial_function(an, build(f"phi?k={k}&n={n}")[0], 1)
+        assert bn.tables[f"lf{k}"] == tuple(values[(a,)] for a in range(an.size))
 
 
 def test_Bn_build_solves_once_per_orbit():
-    # A3 has 5 atom-count orbits (0, one atom, two atoms, e, 1), for each of lf1 and lf2
+    # An has n+2 atom-count orbits (0, one atom, .., n-1 atoms, e, 1), for each of lf1..lf(n-1):
+    # 5 * 2 solves at n=3, 6 * 3 at n=4
+    for n, solves in ((3, 10), (4, 18)):
+        with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
+            catalog.build_Bn(n)
+        assert solve.call_count == solves
+
+
+def test_pp_expand_refuses_an_algebra_over_the_size_guard_before_any_solve():
+    size = SIZE_GUARD + 1
+    sig = Signature((("s", 1),))
+    big = make_algebra("big", sig, size, {"s": tuple(range(size))})
+    f = parse_formula("s(x) = y", sig)
     with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
-        catalog.build_Bn(3)
-    assert solve.call_count == 10
+        with pytest.raises(SizeGuardError):
+            pp_expand(big, [("t", f, 1)])
+    assert solve.call_count == 0
 
 
 def test_pp_expand_errors():

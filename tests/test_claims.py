@@ -42,6 +42,51 @@ S3_IDS = [
 ]
 
 
+# the evidence of check --all --deep, pinned as the n=3 strings are by perfbench/expected.json
+DEEP_EVIDENCE = {
+    "S2.SG-EMPTY": "Sg(empty) = {0,a1,a2,a3,a5,a6,1}",
+    "S2.SUBALGS": "2 subuniverses, sizes [7, 8]",
+    "S2.THETA-CONG": (
+        "Cg(a6,1) on sec2.A-minus-a4 glues only {a6,1}; on sec2.A it is the full relation"
+    ),
+    "S2.SIMPLE-A": "|Con(sec2.A)| = 2",
+    "S2.CON-A4": "quotients by the 3 congruences: itself, sec2.B, trivial",
+    "S2.CHAIN-SI": "monolith of sec2.A-minus-a4 = Cg(a6,1); sec2.A is simple hence SI",
+    "S2.SI-LIST": "3 SI classes, sizes [6, 7, 8]",
+    "S2.PHI-FUNC": "pp shape confirmed; at most one output per argument on all three algebras",
+    "S2.PHI-TABLE": (
+        "sec2.A: f(0)=a3, f(a)=a1 otherwise; sec2.A-minus-a4: 0 outside the domain, value a1 "
+        "elsewhere; sec2.B: f(0)=a6|1, value a1 otherwise"
+    ),
+    "S2.H-FAIL": (
+        "holds at all 49 pairs of sec2.C; in the quotient gf(0)=a3 but the formula relates 0 "
+        "to a6|1"
+    ),
+    "S3.HEYTING": "residuation at 5425 triples; sec2 reduct is the 8-chain",
+    "S3.EQ1-8": (
+        "facts (1)-(8) verified on A4 and, for the atom facts, on its 16 subalgebras; (3) "
+        "holds in the corrected form: double negation is 1 exactly on {e,1}"
+    ),
+    "S3.PHI-CHAR": (
+        "all 867 pairs match for k=1..3: output 1 when a is 0, e, 1 or has at most k atoms, "
+        "output e otherwise"
+    ),
+    "S3.FKN": "lf1..lf3 total on A4; expansion tables agree",
+    "S3.FSI-AN": "FSI classes have sizes [2, 3, 5, 9, 17] = 2^j+1 for j=0..4",
+    "S3.CON-PRES": "lattices coincide on all 16 subalgebras",
+    "S3.FSI-BN": "6 classes on both sides, sizes [2, 3, 5, 5, 9, 17]",
+    "S3.AUT-SIGMA": "24 atom permutations = the whole automorphism group, closed under composition",
+    "S3.AUT-FIX": "160 (subalgebra, element) instances witnessed",
+    "S3.AUT-RIGID": "1614 embedding pairs rigid",
+    "S3.AMALG": "983 spans amalgamated inside the member list",
+    "S3.EPIC": "60 proper inclusions separated by endomorphism pairs",
+    "S3.NONEQ": (
+        "Sg(atom) = {0,{0},{1,2,3},e,1}; lf1(atom)=1, lf1(complement)=e; swapping them is a "
+        "reduct automorphism but no expansion homomorphism"
+    ),
+}
+
+
 def test_registry_lists_every_claim():
     # registration order: the S2 group precedes the S3 group
     assert registered_ids() == S2_IDS + S3_IDS
@@ -64,6 +109,12 @@ def test_every_claim_passes_at_n3():
     failing = [r.id for r in results if r.status != "pass"]
     assert failing == []
     assert sorted(r.id for r in results) == sorted(S2_IDS + S3_IDS)
+
+
+def test_deep_evidence_is_pinned():
+    results = run_all(n=4)
+    assert all(r.status == "pass" for r in results)
+    assert {r.id: r.evidence for r in results} == DEEP_EVIDENCE
 
 
 def test_prefix_filter_and_report():

@@ -141,6 +141,17 @@ def test_element_tokens_outside_ascii_digits_exit_2(runner, files):
         assert "no element named" in res.output
 
 
+def test_element_indices_out_of_range_exit_2(runner, files):
+    A = files["sec2.A"]
+    for args in (["sg", A, "--gens", "99"], ["sg", A, "--gens", "-1"],
+                 ["con", A, "--principal", "0,99"],
+                 ["eval", A, "--formula", "plus(x, x) = x", "--assign", "x=99"]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "Traceback" not in res.output
+        assert "out of range" in res.output
+
+
 def test_build_to_an_unwritable_path_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["build", "sec2.A", "-o", str(tmp_path / "missing" / "x")])
     assert res.exit_code == 2, res.output

@@ -269,6 +269,29 @@ def test_solver_slices_steps_over_the_batch_limit():
 
 
 @pytest.mark.parametrize(
+    "cid, limit, src, inner",
+    [
+        # dia's preimage passes to plus(u, v): the unary branch
+        ("sec2.A", 8, "exists u v . dia(plus(u, v)) = x", "plus"),
+        # x is ground, so a row of join's preimage passes to meet(u, v)
+        ("An?n=3", 9, "exists u v . join(x, meet(u, v)) = y", "meet"),
+    ],
+)
+def test_members_passes_through_unary_operations_and_ground_arguments(cid, limit, src, inner):
+    alg = catalog.build(cid)
+    f = parse_formula(src, alg.signature)
+    with mock.patch.object(logic, "BATCH_LIMIT", limit), mock.patch.object(
+        logic, "_members", wraps=logic._members
+    ) as members:
+        for values in itertools.product(range(alg.size), repeat=len(free_variables(f))):
+            env = dict(enumerate(values))
+            assert eval_exists_decomposed(alg, f, env) == eval_formula(alg, f, env)
+    # the inner term is reached only through the branch under test
+    split = [call.args[1] for call in members.call_args_list]
+    assert any(isinstance(t, Apply) and t.symbol == inner for t in split)
+
+
+@pytest.mark.parametrize(
     "src",
     [
         # v = t(v) is no definition
