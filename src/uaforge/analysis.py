@@ -14,10 +14,11 @@ independently, in one batched numpy check per call, and a map that fails it
 raises RuntimeError, since it marks a fault in the search.  Isomorphism is
 this search over bijections alone, stopped at the first map found.
 
-HS classification builds one congruence lattice and one set of quotients per
-isomorphism type of subalgebra.  Each later subalgebra of a type takes the
-first one's rows over through an isomorphism found by that search.  SI (= FSI)
-is decided once per isomorphism class of quotient, when the class opens.
+HS classification opens only the first subalgebra of each isomorphism type:
+one congruence lattice and one set of quotients per type, since a later
+subalgebra of a type has the same quotients up to isomorphism.  It keeps one
+representative per isomorphism class of quotient, and decides SI (= FSI)
+once per class, when the class opens.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .core import (
     subalgebra,
     _commuting,
 )
-from .partitions import Partition
 
 
 def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
@@ -231,76 +231,44 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
 
 
 @dataclass(frozen=True)
-class HSEntry:
-    subuniverse: tuple[int, ...]
-    congruence: Partition
-    size: int
-    fsi: bool
-    si: bool
-    iso_class: int
-
-
-@dataclass(frozen=True)
 class HSClassification:
     algebra: str
-    entries: tuple[HSEntry, ...]
-    representatives: tuple[FiniteAlgebra, ...]
-
-    def fsi_classes(self) -> list[int]:
-        return sorted({e.iso_class for e in self.entries if e.fsi})
+    subalgebras: tuple[FiniteAlgebra, ...]  # the first subalgebra of each isomorphism type
+    representatives: tuple[FiniteAlgebra, ...]  # one quotient per isomorphism class
+    si: tuple[bool, ...]  # per class; SI = FSI on a finite algebra
 
     def si_classes(self) -> list[int]:
-        return sorted({e.iso_class for e in self.entries if e.si})
+        return [cls for cls, si in enumerate(self.si) if si]
+
+    fsi_classes = si_classes
 
 
 def hs_classify(A: FiniteAlgebra) -> HSClassification:
-    """Classify every quotient of every subalgebra of A.
+    """Classify every quotient of every subalgebra of A up to isomorphism.
 
-    SI is an isomorphism invariant, so it is decided once per class, when a
-    quotient opens the class, inside that subalgebra's congruence lattice:
-    the congruences of sub/theta correspond to the lattice interval above
-    theta, so no quotient lattices are recomputed.  On a finite algebra SI
-    is also FSI.  A subalgebra isomorphic to the first one of an earlier
-    type, by sigma, takes over that type's rows: sub/sigma(theta) is
-    isomorphic to first/theta, so it is in the same class.
+    Only the first subalgebra of each isomorphism type, in all_subuniverses
+    order, is opened: a later one of the same type has quotients isomorphic
+    to the first one's.  SI is an isomorphism invariant, so it is decided
+    once per class, when a quotient opens the class, inside that
+    subalgebra's congruence lattice: the congruences of sub/theta correspond
+    to the lattice interval above theta, so no quotient lattices are
+    computed.  On a finite algebra SI is also FSI.
     """
-    entries: list[HSEntry] = []
+    subs: list[FiniteAlgebra] = []
     reps: list[FiniteAlgebra] = []
-    si_of: list[bool] = []  # per class
-    # per isomorphism type: its first subalgebra and (theta, class) rows
-    types: list[tuple[FiniteAlgebra, list[tuple[Partition, int]]]] = []
+    si: list[bool] = []
     for s in all_subuniverses(A):
         sub, _embed = subalgebra(A, s)
-        n = sub.size
-        for first, first_rows in types:
-            maps = first.size == n and homs(first, sub, "bijective", first_only=True).maps
-            if maps:
-                sigma = maps[0]
-                rows = sorted(
-                    (
-                        (Partition.from_pairs(n, ((sigma[x], sigma[t.rep[x]]) for x in range(n))), cls)
-                        for t, cls in first_rows
-                    ),
-                    key=lambda row: (-row[0].num_blocks, row[0].rep),  # congruence_lattice's order
-                )
-                break
-        else:
-            lat = congruence_lattice(sub)
-            rows = []
-            for theta in lat:
-                q = quotient(sub, theta)
-                cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
-                if cls is None:
-                    reps.append(q)
-                    si_of.append(quotient_is_si(lat, theta))
-                    cls = len(reps) - 1
-                rows.append((theta, cls))
-            types.append((sub, rows))
-        entries.extend(
-            HSEntry(s, theta, reps[cls].size, fsi=si_of[cls], si=si_of[cls], iso_class=cls)
-            for theta, cls in rows
-        )
-    return HSClassification(A.name, tuple(entries), tuple(reps))
+        if any(is_isomorphic(first, sub) for first in subs):
+            continue
+        subs.append(sub)
+        lat = congruence_lattice(sub)
+        for theta in lat:
+            q = quotient(sub, theta)
+            if not any(is_isomorphic(q, rep) for rep in reps):
+                reps.append(q)
+                si.append(quotient_is_si(lat, theta))
+    return HSClassification(A.name, tuple(subs), tuple(reps), tuple(si))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from .congruences import (
 )
 from .core import AlgebraError, all_subuniverses, quotient, sg_closure, subalgebra
 from .logic import (
-    check_functional,
     eval_formula,
     induced_partial_function,
     is_pp,
@@ -62,7 +61,9 @@ class ClaimResult:
 
 class Workspace:
     """Per-run cache of what several claims derive from An and Bn; the catalog
-    memoizes the algebras themselves, so each lf_k table of Bn is solved once."""
+    memoizes the algebras themselves, so each lf_k table of Bn is solved once.
+    The HS classification of Bn gives S3.FSI-BN and S3.AMALG the first
+    subalgebra of each isomorphism type."""
 
     def __init__(self):
         self._store: dict = {}
@@ -88,15 +89,19 @@ class Workspace:
 
         return self.get(("bn-subs", n), build)
 
-    def bn_sub_reps(self, n):
-        def build():
-            reps = []
-            for _s, (sub, _e) in self.bn_subalgebras(n):
-                if not any(is_isomorphic(sub, r) for r in reps):
-                    reps.append(sub)
-            return reps
+    def hs_bn(self, n):
+        return self.get(("hs-bn", n), lambda: hs_classify(self.bn(n)))
 
-        return self.get(("bn-reps", n), build)
+    def sec2_phi_tables(self):
+        """The partial function sec2.phi induces on sec2.A, sec2.A-minus-a4 and
+        sec2.B, by catalog id; FunctionalityError if it is not functional."""
+
+        def build():
+            phi, _ = catalog.build("sec2.phi")
+            ids = ("sec2.A", "sec2.A-minus-a4", "sec2.B")
+            return {c: induced_partial_function(catalog.build(c), phi, 1) for c in ids}
+
+        return self.get("sec2-phi", build)
 
 
 _REGISTRY: dict[str, tuple[str, object]] = {}
@@ -207,25 +212,19 @@ def _si_list(ws, n):
 @_claim("S2.PHI-FUNC", "the witness formula is pp and functional on sec2.A, sec2.A-minus-a4, sec2.B")
 def _phi_func(ws, n):
     phi, _ = catalog.build("sec2.phi")
-    algs = [catalog.build(c) for c in ("sec2.A", "sec2.A-minus-a4", "sec2.B")]
-    ok = is_pp(phi) and check_functional(algs, phi, 1)
-    return ok, "pp shape confirmed; at most one output per argument on all three algebras"
+    ws.sec2_phi_tables()  # FunctionalityError, an AlgebraError, fails the claim
+    return is_pp(phi), "pp shape confirmed; at most one output per argument on all three algebras"
 
 
 @_claim("S2.PHI-TABLE", "induced function: a3 at 0 and a1 elsewhere on sec2.A; on the subalgebra 0 has no output")
 def _phi_table(ws, n):
-    phi, _ = catalog.build("sec2.phi")
-    A = catalog.build("sec2.A")
-    Am = catalog.build("sec2.A-minus-a4")
-    B = catalog.build("sec2.B")
-    tA = induced_partial_function(A, phi, 1)
-    tAm = induced_partial_function(Am, phi, 1)
-    tB = induced_partial_function(B, phi, 1)
-    okA = len(tA) == A.size and tA[(0,)] == 3 and all(tA[(a,)] == 1 for a in range(1, 8))
+    tables = ws.sec2_phi_tables()
+    tA, tAm, tB = tables["sec2.A"], tables["sec2.A-minus-a4"], tables["sec2.B"]
+    okA = len(tA) == 8 and tA[(0,)] == 3 and all(tA[(a,)] == 1 for a in range(1, 8))
     okAm = sorted(x for (x,) in tAm) == list(range(1, 7)) and all(
         tAm[(a,)] == 1 for a in range(1, 7)
     )
-    okB = len(tB) == B.size and tB[(0,)] == 5 and all(tB[(a,)] == 1 for a in range(1, 6))
+    okB = len(tB) == 6 and tB[(0,)] == 5 and all(tB[(a,)] == 1 for a in range(1, 6))
     return okA and okAm and okB, (
         "sec2.A: f(0)=a3, f(a)=a1 otherwise; sec2.A-minus-a4: 0 outside the domain, "
         "value a1 elsewhere; sec2.B: f(0)=a6|1, value a1 otherwise"
@@ -402,9 +401,9 @@ def _con_pres(ws, n):
 
 @_claim("S3.FSI-BN", "the FSI quotients of subalgebras of Bn are exactly its subalgebras")
 def _fsi_bn(ws, n):
-    hs = hs_classify(ws.bn(n))
+    hs = ws.hs_bn(n)
     fsi_reps = [hs.representatives[c] for c in hs.fsi_classes()]
-    sub_reps = ws.bn_sub_reps(n)
+    sub_reps = hs.subalgebras
     if len(fsi_reps) != len(sub_reps):
         return False, f"{len(fsi_reps)} FSI classes vs {len(sub_reps)} subalgebra classes"
     ok = all(
@@ -471,7 +470,7 @@ def _aut_rigid(ws, n):
 
 @_claim("S3.AMALG", "every span of embeddings among the subalgebra classes of Bn (plus trivial) amalgamates")
 def _amalg(ws, n):
-    members = list(ws.bn_sub_reps(n)) + [catalog.trivial_algebra(ws.bn(n).signature)]
+    members = list(ws.hs_bn(n).subalgebras) + [catalog.trivial_algebra(ws.bn(n).signature)]
     ok, reports = check_amalgamation(members)
     return ok, f"{len(reports)} spans amalgamated inside the member list"
 

@@ -562,8 +562,9 @@ def induced_partial_function(
     """Partial function defined by f(x1..xn, y) with y the last variable, as
     a dict from each argument tuple that has an output to that output.
 
-    var_order lists the variable indices playing the roles (x1..xn, y); it
-    defaults to (0..arity).  One solve per argument tuple projects f onto y.
+    var_order lists distinct variable indices playing the roles (x1..xn, y);
+    it defaults to (0..arity), and a repeated index raises ArityError before
+    any solve.  One solve per argument tuple projects f onto y.
     Raises FunctionalityError on the first argument tuple (in lexicographic
     order) with two distinct outputs, naming its two smallest outputs, and
     SizeGuardError when there are over MAX_UNIVERSE argument tuples.
@@ -589,6 +590,9 @@ def induced_partial_function(
     var_order = tuple(var_order) if var_order is not None else tuple(range(arity + 1))
     if len(var_order) != arity + 1:
         raise ArityError(f"var_order needs {arity + 1} entries, got {len(var_order)}")
+    # a repeated variable would be bound to two values at once
+    if len(set(var_order)) != len(var_order):
+        raise ArityError(f"var_order repeats a variable: {var_order}")
     perms = [tuple(p) for p in automorphisms]
     for p in perms:
         if sorted(p) != list(range(alg.size)):

@@ -19,7 +19,6 @@ from uaforge.analysis import (
     embeddings,
     endomorphisms,
     homs,
-    HSEntry,
     hs_classify,
     inverse,
     is_chain,
@@ -28,7 +27,7 @@ from uaforge.analysis import (
     is_isomorphic,
     lattice_leq,
 )
-from uaforge.congruences import congruence_lattice, quotient_is_si
+from uaforge.congruences import congruence_lattice, is_si, quotient_is_si
 from uaforge.core import (
     AlgebraError,
     Signature,
@@ -283,12 +282,12 @@ def test_hs_classify_sec2():
     a = catalog.build("sec2.A")
     cls = hs_classify(a)
     # subalgebras: A and A-minus-a4; quotients: A, trivial, Am, B, trivial
-    assert {e.size for e in cls.entries} == {1, 6, 7, 8}
+    assert sorted(r.size for r in cls.representatives) == [1, 6, 7, 8]
+    assert [s.size for s in cls.subalgebras] == [7, 8]
     si_sizes = sorted(cls.representatives[i].size for i in cls.si_classes())
     assert si_sizes == [6, 7, 8]
     fsi_sizes = sorted(cls.representatives[i].size for i in cls.fsi_classes())
     assert fsi_sizes == [6, 7, 8]
-    assert all(e.fsi == e.si for e in cls.entries)
     # the three SI representatives are A, A-minus-a4 and B themselves
     reps = [cls.representatives[i] for i in cls.si_classes()]
     for expected_id in ("sec2.A", "sec2.A-minus-a4", "sec2.B"):
@@ -297,30 +296,33 @@ def test_hs_classify_sec2():
 
 def hs_classify_by_definition(A):
     """Every quotient of every subalgebra, each with its own lattice and
-    quotient, classified against the representatives found so far."""
-    entries, reps = [], []
+    quotient, classified against the representatives found so far; SI read
+    off each quotient's own congruence lattice."""
+    subs, reps, si = [], [], []
     for s in all_subuniverses(A):
         sub, _embed = subalgebra(A, s)
-        lat = congruence_lattice(sub)
-        for theta in lat:
+        if not any(is_isomorphic(first, sub) for first in subs):
+            subs.append(sub)
+        for theta in congruence_lattice(sub):
             q = quotient(sub, theta)
             cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
             if cls is None:
                 reps.append(q)
-                cls = len(reps) - 1
-            si = quotient_is_si(lat, theta)
-            entries.append(HSEntry(s, theta, q.size, fsi=si, si=si, iso_class=cls))
-    return tuple(entries), [(r.name, r.size, r.tables) for r in reps]
+                si.append(is_si(q))
+            else:
+                assert is_si(q) == si[cls], "SI is an isomorphism invariant"
+    return [(a.name, a.size, a.tables) for a in subs], [(r.name, r.size, r.tables) for r in reps], si
 
 
 def assert_hs_classify_matches_definition(A):
     got = hs_classify(A)
-    entries, reps = hs_classify_by_definition(A)
-    assert got.entries == entries
+    subs, reps, si = hs_classify_by_definition(A)
+    assert [(a.name, a.size, a.tables) for a in got.subalgebras] == subs
     assert [(r.name, r.size, r.tables) for r in got.representatives] == reps
+    assert list(got.si) == si
 
 
-@pytest.mark.parametrize("cid", ["sec2.A", "An?n=3", "Bn?n=3", "An?n=4"])
+@pytest.mark.parametrize("cid", ["sec2.A", "An?n=3", "Bn?n=3", "An?n=4", "Bn?n=4"])
 def test_hs_classify_matches_definition(cid):
     assert_hs_classify_matches_definition(catalog.build(cid))
 
@@ -342,6 +344,16 @@ def test_hs_classify_decides_si_once_per_class(cid):
     with mock.patch("uaforge.analysis.quotient_is_si", wraps=quotient_is_si) as spy:
         hs = hs_classify(A)
     assert spy.call_count == len(hs.representatives)
+
+
+@pytest.mark.parametrize("cid", ["An?n=4", "Bn?n=4"])
+def test_hs_classify_opens_one_subalgebra_per_isomorphism_type(cid):
+    A = catalog.build(cid)
+    with mock.patch("uaforge.analysis.congruence_lattice", wraps=congruence_lattice) as spy:
+        hs = hs_classify(A)
+    # later subalgebras of a type are skipped, not opened
+    assert spy.call_count == len(hs.subalgebras) < len(all_subuniverses(A))
+    assert all(c.args[0] is sub for c, sub in zip(spy.call_args_list, hs.subalgebras))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import pytest
 
 from uaforge import catalog, claims
-from uaforge.analysis import HomSet, embeddings
+from uaforge.analysis import HomSet, embeddings, hs_classify
 from uaforge.core import AlgebraError
+from uaforge.logic import FunctionalityError, induced_partial_function
 from uaforge.claims import (
     Workspace,
     registered_ids,
@@ -152,6 +154,37 @@ def test_run_order_does_not_matter():
         r = run_claim(cid, n=3, workspace=ws)
         backward[r.id] = (r.status, r.evidence)
     assert forward == backward
+
+
+def test_each_table_and_classification_is_computed_once_per_run(monkeypatch):
+    # a fresh catalog memo, so the sec2.C and B3 builds are counted too: one
+    # solve of sec2.phi on sec2.A for sec2.C, lf1 and lf2 for B3, and the three
+    # sec2.phi tables that S2.PHI-FUNC and S2.PHI-TABLE share
+    monkeypatch.setattr(catalog, "_memo", {})
+    spy = mock.Mock(wraps=induced_partial_function)
+    monkeypatch.setattr(catalog, "induced_partial_function", spy)
+    monkeypatch.setattr(claims, "induced_partial_function", spy)
+    with mock.patch.object(claims, "hs_classify", wraps=hs_classify) as hs:
+        assert all(r.status == "pass" for r in run_all(n=3))
+    assert spy.call_count == 6
+    # sec2.A, A3 and B3; S3.AMALG reads the classification S3.FSI-BN made
+    assert [c.args[0].name for c in hs.call_args_list] == ["sec2.A", "A3", "B3"]
+
+
+@pytest.mark.parametrize("claim_id", ["S3.FSI-BN", "S3.AMALG"])
+def test_hs_claims_alone_give_the_pinned_evidence(claim_id):
+    r = run_claim(claim_id, n=4, workspace=Workspace())
+    assert (r.status, r.evidence) == ("pass", DEEP_EVIDENCE[claim_id])
+
+
+def test_a_non_functional_phi_fails_phi_func_naming_the_arguments(monkeypatch):
+    def two_outputs(alg, f, arity):
+        raise FunctionalityError(alg.name, (0,), 1, 3)
+
+    monkeypatch.setattr(claims, "induced_partial_function", two_outputs)
+    r = run_claim("S2.PHI-FUNC", workspace=Workspace())
+    assert r.status == "fail"
+    assert r.evidence.startswith("error: formula is not functional on 'sec2.A': arguments (0,)")
 
 
 def test_section2_claims_ignore_n():

@@ -224,6 +224,14 @@ def test_functional_vars_option(runner, files):
          "--arity", "2", "--vars", "x,q,z"],
     )
     assert bad.exit_code == 2
+    # a repeated variable is refused, not solved with one of its bindings dropped
+    for src in ("x = x", "exists z . plus(x, x) = dia(z)"):
+        rep = runner.invoke(
+            main,
+            ["functional", files["sec2.A"], "--formula", src, "--arity", "1", "--vars", "x,x"],
+        )
+        assert rep.exit_code == 2, rep.output
+        assert "repeats a variable" in rep.output and "Traceback" not in rep.output
 
 
 def test_functional_refuses_undesignated_variables(runner, files):

@@ -417,6 +417,12 @@ def test_induced_function_var_order():
         assert swapped[(y, x)] == a3.op("meet", x, y)
     with pytest.raises(ArityError):
         induced_partial_function(a3, f, 2, var_order=(0, 1))
+    # a repeated variable cannot take two argument values: refused before any solve
+    with mock.patch.object(logic, "project_exists", wraps=project_exists) as solve:
+        for order in ((0, 0, 2), (0, 1, 1)):
+            with pytest.raises(ArityError, match="repeats"):
+                induced_partial_function(a3, f, 2, var_order=order)
+    assert solve.call_count == 0
 
 
 def test_induced_function_refuses_a_wrong_automorphism_before_any_solve():
