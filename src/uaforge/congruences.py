@@ -7,13 +7,14 @@ every basic translation preserves it.  The principal congruences come from
 one array kernel over the pair graph, whose nodes are the pairs {x, y} of
 distinct elements and whose edges are {x, y} -> {t(x), t(y)} for each basic
 translation t: Cg(a, b) is the equivalence closure of the pairs that {a, b}
-reaches (Mal'cev's lemma), computed for all n(n-1)/2 pairs at once.  The full
-congruence lattice is the join closure of the principal congruences together
-with the identity; joins of congruences are plain partition joins since the
-congruences of an algebra form a sublattice of the equivalence lattice.  Each
-distinct principal congruence keeps one pair (a, b) that generates it, and the
-join of c with Cg(a, b) is skipped when a and b share a block of c, since
-then Cg(a, b) <= c.
+reaches (Mal'cev's lemma), computed for all n(n-1)/2 pairs at once.  The
+lattice is one pass over the distinct principal congruences, joining each
+with every congruence found so far (every congruence is the join of the
+principal ones below it); congruence joins are plain partition joins, since
+the congruences form a sublattice of the equivalence lattice.  Each distinct
+principal congruence keeps one pair (a, b) that generates it, and the join
+of c with Cg(a, b) is skipped when a and b share a block of c, since then
+Cg(a, b) <= c.
 Monolith, SI and FSI are one scan of the interval above a congruence for its
 least member; on a finite algebra FSI and SI coincide.
 """
@@ -124,29 +125,27 @@ class CongruenceLattice:
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
-    """All congruences: identity plus the join closure of the principal ones.
+    """All congruences, in one pass over the distinct principal congruences:
+    after the i-th, congs holds the joins of every subset of the first i.
 
-    Raises SizeGuardError before a round of joins that would take the total
-    over MAX_UNIVERSE.
+    A step counts len(congs) joins, and congs never shrinks, so the pass
+    raises SizeGuardError at the first step where the joins counted so far
+    plus len(congs) for this and each later step exceed MAX_UNIVERSE.
     """
     guard_size(alg.size, alg.name)
     size = alg.size
     # each distinct principal congruence with one pair (a, b) that generates it
     lo, hi = np.triu_indices(size, 1)
     reps = dict(zip(map(tuple, _principals(alg).tolist()), zip(lo.tolist(), hi.tolist())))
-    principals = {Partition(rep): ab for rep, ab in reps.items()}
-    congs = {Partition.identity(size)} | principals.keys()
-    # every congruence is a join of principal ones: join each new one with
-    # each, skipping Cg(a, b) <= c, that is a and b already in one block of c
-    frontier, joins = set(principals), 0
-    while frontier:
-        joins += len(frontier) * len(principals)  # an upper bound on the joins made
-        if joins > MAX_UNIVERSE:
+    congs = {Partition.identity(size)}
+    joins = 0
+    for i, (rep, (a, b)) in enumerate(reps.items()):
+        if joins + len(congs) * (len(reps) - i) > MAX_UNIVERSE:
             raise SizeGuardError(f"{alg.name}: the congruence lattice needs over {MAX_UNIVERSE} joins")
-        frontier = {
-            c.join(p) for c in frontier for p, (a, b) in principals.items() if c.rep[a] != c.rep[b]
-        } - congs
-        congs |= frontier
+        joins += len(congs)
+        # Cg(a, b) <= c when a and b already share a block of c: the join is c
+        p = Partition(rep)
+        congs |= {c.join(p) for c in congs if c.rep[a] != c.rep[b]}
     # refinement-compatible total order: finer congruences have more blocks
     ordered = sorted(congs, key=lambda c: (-c.num_blocks, c.rep))
     return CongruenceLattice(size, tuple(ordered))

@@ -10,11 +10,12 @@ and ``eval_term`` are the scalar reference.
 ``_commuting`` is the full-table homomorphism check: it tests a stack of maps
 against every operation's grid at once.
 
-``sg_closure`` closes one generating set.  ``all_subuniverses`` closes each
-frontier of one-point extensions together, as the rows of one boolean array
-(``_close_rows``), in chunks whose tuple arrays hold at most MAX_UNIVERSE
-cells; it raises SizeGuardError once the subuniverses found hold over
-MAX_UNIVERSE cells.
+``_close_rows`` is the one closure kernel: it closes the rows of a boolean
+membership array together.  ``sg_closure`` closes one row.
+``all_subuniverses`` is one pass over the elements, closing each element's
+extensions of the subuniverses found so far in chunks whose tuple arrays
+hold at most MAX_UNIVERSE cells; it raises SizeGuardError once the
+subuniverses found hold over MAX_UNIVERSE cells.
 """
 
 from __future__ import annotations
@@ -274,21 +275,15 @@ def sg_closure(alg: FiniteAlgebra, generators=()) -> tuple[int, ...]:
     size = alg.size
     member = np.zeros(size, dtype=bool)
     for g in generators:
+        # a bool would index as a mask, a float not at all
+        if isinstance(g, bool) or not isinstance(g, (int, np.integer)):
+            raise AlgebraError(f"generator {g!r} is not an integer")
         if not 0 <= g < size:
             raise AlgebraError(f"generator {g} out of range for size {size}")
         member[g] = True
     for sym in alg.signature.constants():
         member[alg.grids[sym]] = True
-    grids = [grid for grid in alg.grids.values() if grid.ndim]
-    current = np.flatnonzero(member)
-    # apply every operation to the current members until a round adds nothing
-    while True:
-        for grid in grids:
-            member[grid[np.ix_(*[current] * grid.ndim)]] = True
-        grown = np.flatnonzero(member)
-        if len(grown) == len(current):
-            return tuple(current.tolist())
-        current = grown
+    return tuple(np.flatnonzero(_close_rows(member[None], alg)[0]).tolist())
 
 
 def is_closed_subset(alg: FiniteAlgebra, elements) -> bool:
@@ -326,68 +321,62 @@ def subalgebra(alg: FiniteAlgebra, elements) -> tuple[FiniteAlgebra, tuple[int, 
     return sub, tuple(elems)
 
 
-def _close_rows(rows: np.ndarray, ops) -> np.ndarray:
+def _close_rows(rows: np.ndarray, alg: FiniteAlgebra) -> np.ndarray:
     """Close every row of a boolean (rows, size) membership array at once.
 
-    A round ORs into each row the images of all tuples of its members: the
-    tuple array of an r-ary operation holds one cell per row and argument
-    tuple, and its bool @ bool product with the one-hot table (no BLAS call)
-    marks the images.  Rows that a round leaves unchanged are closed and
-    drop out.
+    A round ORs into each row the images of all tuples of its members.  The
+    tuple array of arity r holds one cell per row and argument tuple, in
+    row-major order, and serves every r-ary operation: each true cell marks
+    the entries at its tuple in the r-ary tables, stacked one per row.  The
+    rounds stop when one adds nothing; the rows keep their order.
     """
-    closed = [rows[:0]]
-    while len(rows):
+    ops = [g for g in alg.grids.values() if g.ndim]
+    tables = {r: np.stack([g.ravel() for g in ops if g.ndim == r]) for r in {g.ndim for g in ops}}
+    while True:
         grown = rows.copy()
-        for arity, onehot in ops:
-            tuples = rows
-            for _ in range(arity - 1):
+        tuples = rows
+        for arity in range(1, max(tables, default=0) + 1):
+            if arity > 1:
                 tuples = (tuples[:, :, None] & rows[:, None, :]).reshape(len(rows), -1)
-            grown |= tuples @ onehot
-        same = (grown == rows).all(axis=1)
-        closed.append(rows[same])
-        rows = grown[~same]
-    return np.concatenate(closed)
+            if arity in tables:
+                r, t = np.nonzero(tuples)
+                grown[r, tables[arity][:, t]] = True
+        if np.array_equal(grown, rows):
+            return rows
+        rows = grown
 
 
 def all_subuniverses(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Every subuniverse, found by closing one-point extensions of Sg(empty).
+    """Every subuniverse, in one pass over the elements.
 
-    Any subuniverse T contains Sg(empty); from a known S properly inside T,
-    closing S + {x} for x in T-S stays inside T and grows, so induction on
-    size reaches T.  Every one-point extension of the newest subuniverses is
-    a row of one boolean array, and ``_close_rows`` closes them together, in
-    chunks of rows whose tuple arrays hold at most MAX_UNIVERSE cells (one
-    row at least).  Raises SizeGuardError once the subuniverses found hold
-    over MAX_UNIVERSE cells.  Each is a sorted tuple, and the list is sorted
-    by (size, elements).
+    Every subuniverse is Sg(empty + S) for some set S of elements.  The pass
+    keeps those closures for every S inside 0..x: for each element x in
+    turn, it closes T + {x} for every known T that lacks x (a T holding x
+    is its own extension).  Each step's extensions are the rows of one
+    boolean array, and ``_close_rows`` closes them in chunks whose tuple
+    arrays hold at most MAX_UNIVERSE cells (one row at least).  Raises
+    SizeGuardError once the subuniverses found hold over MAX_UNIVERSE
+    cells.  Each is a sorted tuple, and the list is sorted by (size,
+    elements).
     """
     guard_size(alg.size, alg.name)
     n = alg.size
-    # onehot[t, y]: the t-th argument tuple, in row-major order, has the image y
-    ops = [(g.ndim, g.reshape(-1, 1) == np.arange(n)) for g in alg.grids.values() if g.ndim]
-    chunk = max(1, MAX_UNIVERSE // max([n**arity for arity, _ in ops], default=n))
+    chunk = max(1, MAX_UNIVERSE // max([g.size for g in alg.grids.values() if g.ndim], default=n))
     base = np.zeros(n, dtype=bool)
     base[list(sg_closure(alg))] = True
-    # each subuniverse as the raw bytes of its membership row
-    known = {base.tobytes()}
-    new = [base.tobytes()]
-    while new:
-        sets = np.frombuffer(b"".join(new), dtype=bool).reshape(-1, n)
-        new = []
-        # the extension S + {x} for every row S of sets and x outside it
-        which, x = np.nonzero(~sets)
-        for i in range(0, len(x), chunk):
-            ext = sets[which[i : i + chunk]]
-            ext[np.arange(len(ext)), x[i : i + chunk]] = True
-            for row in _close_rows(ext, ops):
-                key = row.tobytes()
-                if key not in known:
-                    known.add(key)
-                    new.append(key)
-                    if len(known) * n > MAX_UNIVERSE:
-                        raise SizeGuardError(
-                            f"subuniverses of {alg.name} hold over {MAX_UNIVERSE} cells"
-                        )
+    # each subuniverse as the raw bytes of its membership row, in the order found
+    known = dict.fromkeys([base.tobytes()])
+    for x in range(n):
+        held = np.frombuffer(b"".join(known), dtype=bool).reshape(-1, n)
+        ext = held[~held[:, x]]
+        ext[:, x] = True
+        for i in range(0, len(ext), chunk):
+            for row in _close_rows(ext[i : i + chunk], alg):
+                known.setdefault(row.tobytes())
+                if len(known) * n > MAX_UNIVERSE:
+                    raise SizeGuardError(
+                        f"subuniverses of {alg.name} hold over {MAX_UNIVERSE} cells"
+                    )
     held = np.frombuffer(b"".join(known), dtype=bool).reshape(-1, n)
     return sorted((tuple(np.flatnonzero(r).tolist()) for r in held), key=lambda s: (len(s), s))
 

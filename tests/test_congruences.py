@@ -1,4 +1,6 @@
 import itertools
+import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +153,29 @@ def test_congruence_lattice_without_translations():
     # the kernel computes every pair at once, so it stays within the size guard
     with pytest.raises(SizeGuardError):
         principal_congruence(make_algebra("big", Signature(()), 25, {}), 0, 1)
+
+
+def test_operation_free_lattices_refuse_fast():
+    # Bell(16) and Bell(24) congruences: the join count is sure to pass the
+    # bound after a few steps of the pass over the principal congruences
+    for n in (16, 24):
+        alg = make_algebra(f"E{n}", Signature(()), n, {})
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="over 1000000 joins"):
+            congruence_lattice(alg)
+        assert time.perf_counter() - start < 2
+
+
+def test_cube_lattice_is_every_partition():
+    # f(x, y) = x, g(x) = x and a constant: every partition of the cube is a
+    # congruence, so its lattice is all Bell(8) = 4,140 partitions of 8
+    x2 = make_algebra("X2", SIG.extended((("c", 0),)), 2, {"f": (0, 0, 1, 1), "g": (0, 1), "c": (0,)})
+    cube = direct_product([x2] * 3)
+    with mock.patch.object(Partition, "join", autospec=True, side_effect=Partition.join) as spy:
+        lat = congruence_lattice(cube)
+    assert len(lat) == 4140
+    assert set(lat) == set(all_partitions(8))
+    assert spy.call_count <= 29_401
 
 
 def meet_irreducible(lattice, theta):

@@ -1,8 +1,10 @@
 import itertools
 import json
+import random
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -243,6 +245,45 @@ def test_all_subuniverses_bounds_the_cells_held():
     with pytest.raises(SizeGuardError, match="hold over 1000000 cells"):
         all_subuniverses(alg)
     assert time.perf_counter() - start < 5
+
+
+def test_sg_closure_refuses_non_integer_generators():
+    sig = Signature((("g", 1),))
+    alg = make_algebra("a", sig, 4, {"g": (0, 3, 1, 3)})
+    assert sg_closure(alg, [1]) == sg_closure(alg, [np.int64(1)]) == (1, 3)
+    # numpy would read a bool as a mask over every element, and refuse a float
+    for gen in (True, np.bool_(True), 1.0, "1"):
+        with pytest.raises(AlgebraError, match="not an integer"):
+            sg_closure(alg, [gen])
+
+
+def test_sg_closure_matches_a_fixpoint_beyond_the_size_guard():
+    # each entry is one of its arguments, or rarely any element, so that
+    # closures of different sizes take several rounds
+    rng = random.Random(19)
+    n = 40
+    sig = Signature((("u", 1), ("b", 2), ("t", 3)))
+    rare = {1: 0.1, 2: 0.01, 3: 0.001}
+    tables = {
+        sym: [
+            rng.randrange(n) if rng.random() < rare[arity] else rng.choice(args)
+            for args in itertools.product(range(n), repeat=arity)
+        ]
+        for sym, arity in sig.symbols
+    }
+    alg = make_algebra("rand40", sig, n, tables)
+    for gens in ((), (0,), (12, 3), (25, 31, 2), (5, 9, 14, 20, 33), range(0, n, 4), range(0, n, 2)):
+        members = set(gens)
+        while True:
+            images = {
+                alg.op(sym, *args)
+                for sym, arity in sig.symbols
+                for args in itertools.product(members, repeat=arity)
+            }
+            if images <= members:
+                break
+            members |= images
+        assert sg_closure(alg, gens) == tuple(sorted(members))
 
 
 def test_is_closed_subset_definition():
