@@ -301,40 +301,33 @@ class SpanReport:
         return self.amalgam is not None
 
 
-def check_amalgamation(members, targets=None) -> tuple[bool, list[SpanReport]]:
+def check_amalgamation(members) -> tuple[bool, list[SpanReport]]:
     """Try to amalgamate every span of embeddings among the given algebras.
 
-    For each span f: A -> B, g: A -> C the search looks for a target D and
-    embeddings p: B -> D, q: C -> D with p o f = q o g.  Targets default to
-    the members themselves.
+    For each span f: A -> B, g: A -> C of members, the amalgam is the first
+    (member D, embedding p: B -> D, embedding q: C -> D) with p o f = q o g.
+    The embeddings between every ordered pair of members are found once.
     """
     members = list(members)
-    targets = list(targets) if targets is not None else members
-    emb_cache: dict[tuple[int, int], HomSet] = {}
-
-    def emb(X, Y):
-        key = (id(X), id(Y))
-        if key not in emb_cache:
-            emb_cache[key] = embeddings(X, Y)
-        return emb_cache[key]
-
+    emb = [[embeddings(x, y).maps for y in members] for x in members]
+    indices = range(len(members))
     reports: list[SpanReport] = []
-    for apex in members:
-        for left in members:
-            for f in emb(apex, left):
-                for right in members:
-                    for g in emb(apex, right):
+    for a, apex in enumerate(members):
+        for b in indices:
+            for f in emb[a][b]:
+                for c in indices:
+                    for g in emb[a][c]:
                         amalgam = next(
                             (
-                                Amalgam(target.name, p, q)
-                                for target in targets
-                                for p in emb(left, target)
-                                for q in emb(right, target)
-                                if all(p[f[a]] == q[g[a]] for a in range(apex.size))
+                                Amalgam(members[d].name, p, q)
+                                for d in indices
+                                for p in emb[b][d]
+                                for q in emb[c][d]
+                                if all(p[f[x]] == q[g[x]] for x in range(apex.size))
                             ),
                             None,
                         )
-                        span = Span(apex.name, left.name, right.name, f, g)
+                        span = Span(apex.name, members[b].name, members[c].name, f, g)
                         reports.append(SpanReport(span, amalgam))
     return all(r.ok for r in reports), reports
 

@@ -85,7 +85,7 @@ class Workspace:
     def bn_subalgebras(self, n):
         def build():
             big = self.bn(n)
-            return [(s, subalgebra(big, s)) for s in all_subuniverses(big)]
+            return [(s, subalgebra(big, s)[0]) for s in all_subuniverses(big)]
 
         return self.get(("bn-subs", n), build)
 
@@ -390,7 +390,7 @@ def _fsi_an(ws, n):
 @_claim("S3.CON-PRES", "every subalgebra of Bn has the same congruences as its Heyting reduct")
 def _con_pres(ws, n):
     count = 0
-    for _s, (sub, _e) in ws.bn_subalgebras(n):
+    for _s, sub in ws.bn_subalgebras(n):
         full = set(congruence_lattice(sub).congruences)
         red = set(congruence_lattice(catalog.heyting_reduct(sub)).congruences)
         if full != red:
@@ -440,7 +440,7 @@ def _aut_fix(ws, n):
     aut = ws.aut_bn(n)
     e = Bn.index_of("e")
     checked = 0
-    for s, (_sub, _e) in ws.bn_subalgebras(n):
+    for s, _sub in ws.bn_subalgebras(n):
         stabilizer = [h for h in aut if all(h[a] == a for a in s)]
         moved = {b for h in stabilizer for b in range(Bn.size) if h[b] != b}
         outside = set(range(Bn.size)) - set(s) - {e}
@@ -456,7 +456,7 @@ def _aut_rigid(ws, n):
     Bn = ws.bn(n)
     aut = ws.aut_bn(n)
     pairs = 0
-    for _s, (sub, _e) in ws.bn_subalgebras(n):
+    for _s, sub in ws.bn_subalgebras(n):
         embs = embeddings(sub, Bn).maps
         # aut must be the whole group (S3.AUT-SIGMA checks it): then two
         # embeddings differ by an automorphism exactly when both lie in the

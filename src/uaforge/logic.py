@@ -490,9 +490,13 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     other than existential conjunctions of equations, and plans that are
     still too big, go to the reference evaluator; when it would check over
     MAX_UNIVERSE equations, SizeGuardError is raised instead.  A step over
-    MAX_UNIVERSE * alg.size cells raises SizeGuardError too.
+    MAX_UNIVERSE * alg.size cells raises SizeGuardError too.  A repeated
+    kept variable raises ArityError before any solve.
     """
     kept = tuple(kept)
+    # a repeated variable would be bound to two values at once
+    if len(set(kept)) != len(kept):
+        raise ArityError(f"kept repeats a variable: {kept}")
     bound = f.vars if isinstance(f, Exists) else ()
     env = {v: a for v, a in (env or {}).items() if v not in kept and v not in bound}
     solved = tuple(v for v in kept if v not in bound)

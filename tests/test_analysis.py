@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uaforge import catalog
+from uaforge import analysis, catalog
 from uaforge.analysis import (
     _commuting,
     atom_permutation_automorphism,
@@ -247,6 +247,17 @@ def test_compose_and_inverse():
                 assert fg[x] == f[g[x]]
 
 
+@pytest.mark.parametrize(
+    "maps",
+    [
+        pytest.param([(0, 1, 2), (1, 2, 0)], id="no-inverse"),  # (1, 2, 0)^-1 = (2, 0, 1)
+        pytest.param([(0, 1, 2), (1, 0, 2), (0, 2, 1)], id="not-closed"),  # their product is a 3-cycle
+    ],
+)
+def test_is_group_under_composition_refuses(maps):
+    assert not is_group_under_composition(maps)
+
+
 @given(small_algebras(), st.data())
 @settings(max_examples=40)
 def test_is_isomorphic_accepts_relabelings(A, data):
@@ -394,11 +405,70 @@ def test_amalgamation_positive_and_negative():
     r = reports[0]
     for x in range(len(r.span.f)):
         assert r.amalgam.p[r.span.f[x]] == r.amalgam.q[r.span.g[x]]
-    # forcing a trivial-only target starves every span with a nontrivial apex
-    ok2, reports2 = check_amalgamation(
-        members, targets=[catalog.trivial_algebra(b3.signature)]
-    )
+    # g = (0, 0, 2) on U3 fixes 0 and 2; the only member that both of U1's
+    # embeddings into U3 (at 0 and at 2) reach is U3, whose one embedding
+    # into itself is the identity, so those two spans have no amalgam
+    unary = Signature((("g", 1),))
+    u1 = make_algebra("U1", unary, 1, {"g": (0,)})
+    u3 = make_algebra("U3", unary, 3, {"g": (0, 0, 2)})
+    ok2, reports2 = check_amalgamation([u1, u3])
     assert not ok2
+    assert len(reports2) == 10
+    failed = [(r.span.apex, r.span.left, r.span.right, r.span.f, r.span.g) for r in reports2 if not r.ok]
+    assert failed == [("U1", "U3", "U3", (0,), (2,)), ("U1", "U3", "U3", (2,), (0,))]
+    assert_amalgamation_matches_definition([u1, u3], reports2)
+
+
+def assert_amalgamation_matches_definition(members, reports):
+    """The spans are every (apex, left, f, right, g) in member and embedding
+    order; an amalgam is a pair of embeddings into a member that agree on the
+    apex, and a span without one has none among the embeddings."""
+    spans = [
+        (apex.name, left.name, right.name, f, g)
+        for apex in members
+        for left in members
+        for f in embeddings(apex, left)
+        for right in members
+        for g in embeddings(apex, right)
+    ]
+    assert [(r.span.apex, r.span.left, r.span.right, r.span.f, r.span.g) for r in reports] == spans
+    by_name = {m.name: m for m in members}
+    assert len(by_name) == len(members)
+    for r in reports:
+        apex, left, right = by_name[r.span.apex], by_name[r.span.left], by_name[r.span.right]
+        f, g = r.span.f, r.span.g
+        if r.ok:
+            target, p, q = by_name[r.amalgam.target], r.amalgam.p, r.amalgam.q
+            for emb, src in ((p, left), (q, right)):
+                assert is_homomorphism(src, target, emb) and len(set(emb)) == src.size
+            assert all(p[f[a]] == q[g[a]] for a in range(apex.size))
+        else:
+            assert not any(
+                all(p[f[a]] == q[g[a]] for a in range(apex.size))
+                for target in members
+                for p in embeddings(left, target)
+                for q in embeddings(right, target)
+            )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_amalgamation_matches_definition_on_the_Bn_member_lists(n):
+    # the member list of S3.AMALG: one subalgebra per isomorphism type, plus trivial
+    bn = catalog.build(f"Bn?n={n}")
+    members = list(hs_classify(bn).subalgebras) + [catalog.trivial_algebra(bn.signature)]
+    with mock.patch.object(analysis, "embeddings", wraps=embeddings) as emb:
+        ok, reports = check_amalgamation(members)
+    assert ok
+    # one embedding search per ordered pair of members
+    assert emb.call_count == len(members) ** 2
+    emb_count = {(x.name, y.name): len(embeddings(x, y)) for x in members for y in members}
+    assert len(reports) == sum(
+        emb_count[a.name, b.name] * emb_count[a.name, c.name]
+        for a in members
+        for b in members
+        for c in members
+    )
+    assert_amalgamation_matches_definition(members, reports)
 
 
 def test_epic_subalgebras():

@@ -251,7 +251,7 @@ def aut_rigid_by_pairs(ws, n):
     automorphism."""
     Bn, aut = ws.bn(n), ws.aut_bn(n)
     pairs = 0
-    for _s, (sub, _e) in ws.bn_subalgebras(n):
+    for _s, sub in ws.bn_subalgebras(n):
         embs = embeddings(sub, Bn)
         for g in embs:
             for h in embs:

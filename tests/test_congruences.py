@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from unittest import mock
 
@@ -31,6 +32,28 @@ from uaforge.partitions import Partition
 SIG = Signature((("f", 2), ("g", 1)))
 # a ternary operation has a middle argument slot; constants give no translation
 SIGNATURES = (SIG, SIG.extended((("h", 3),)), Signature((("c", 0),)))
+
+
+def _two_chain():
+    return make_algebra("c2", SIG, 2, {"f": (0, 0, 0, 1), "g": (0, 1)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: is_congruence(_two_chain(), Partition.identity(3)),
+            "partition size does not match the algebra",
+            id="is-congruence-size",
+        ),
+        pytest.param(
+            lambda: principal_congruence(_two_chain(), 0, 2), "pair (0,2) out of range", id="pair"
+        ),
+    ],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def all_partitions(n):

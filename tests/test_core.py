@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 from unittest import mock
 
@@ -70,6 +71,74 @@ def two_chain():
     return make_algebra(
         "c2", sig, 2, {"meet": (0, 0, 0, 1), "one": (1,)}, ("0", "1")
     )
+
+
+def _point():
+    return make_algebra("point", SIG, 1, {"f": (0,), "g": (0,), "c": (0,)})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: Variable(-1), AlgebraError, "variable index must be non-negative", id="variable"
+        ),
+        pytest.param(
+            lambda: make_algebra("x", SIG, 1.0, {"f": (0,), "g": (0,), "c": (0,)}),
+            AlgebraError,
+            "size must be an integer, got 1.0",
+            id="size-type",
+        ),
+        pytest.param(
+            lambda: make_algebra("x", SIG, 1, {"f": (0,), "g": (0,)}),
+            AlgebraError,
+            "tables ['f', 'g'] do not match signature ['c', 'f', 'g']",
+            id="tables",
+        ),
+        pytest.param(
+            lambda: _point().index_of("a"),
+            AlgebraError,
+            "algebra 'point' has no element names",
+            id="index-of-unnamed",
+        ),
+        pytest.param(
+            lambda: eval_term(_point(), Apply("f", (Variable(0),)), {0: 0}),
+            ArityError,
+            "'f' expects 2 arguments, got 1",
+            id="eval-term-arity",
+        ),
+        pytest.param(
+            lambda: direct_product([two_chain()], signature=SIG),
+            AlgebraError,
+            "explicit signature disagrees with the factors",
+            id="product-signature",
+        ),
+        pytest.param(
+            lambda: direct_product([two_chain()] * 20),  # 2^20 elements
+            SizeGuardError,
+            "product universe too large",
+            id="product-size",
+        ),
+        pytest.param(
+            lambda: quotient(two_chain(), Partition.identity(3)),
+            AlgebraError,
+            "partition size does not match the algebra",
+            id="quotient-size",
+        ),
+        pytest.param(
+            lambda: loads_algebra('{"name": "x", "size": 1, "operations": [], "elements": [0]}'),
+            AlgebraError,
+            "elements must be a list of strings",
+            id="json-elements",
+        ),
+        pytest.param(
+            lambda: loads_algebra('{"name": '), AlgebraError, "invalid JSON: ", id="json-syntax"
+        ),
+    ],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_signature_basics():

@@ -14,6 +14,7 @@ from uaforge.core import (
     Apply,
     ArityError,
     Signature,
+    UnassignedVariableError,
     Variable,
     eval_term,
     make_algebra,
@@ -118,6 +119,58 @@ def test_variable_sets():
     assert is_pp(f)
     assert not is_pp(Not(Eq(Variable(0), Variable(0))))
     assert not is_pp(Forall((0,), Eq(Variable(0), Variable(0))))
+    g = Implies(Not(Eq(Variable(0), Variable(1))), Exists((2,), Eq(Variable(2), Variable(3))))
+    assert free_variables(g) == frozenset({0, 1, 3})
+
+
+def _point():
+    return make_algebra("point", SIG, 1, {"f": (0,), "g": (0,), "c": (0,)})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: eval_term_batch(_point(), Variable(1), {0: 0}),
+            UnassignedVariableError,
+            "variable v1 unassigned",
+            id="batch-unassigned",
+        ),
+        pytest.param(
+            lambda: eval_term_batch(_point(), Apply("f", (Variable(0),)), {0: 0}),
+            ArityError,
+            "'f' expects 2 arguments, got 1",
+            id="batch-arity",
+        ),
+        pytest.param(
+            lambda: induced_partial_function(_point(), Eq(Variable(0), Variable(0)), -1),
+            ArityError,
+            "arity must be non-negative",
+            id="negative-arity",
+        ),
+        pytest.param(
+            lambda: parse_formula("x = $", SIG),
+            ParseError,
+            "unexpected character '$'",
+            id="parse-character",
+        ),
+        pytest.param(
+            lambda: parse_formula("x = exists", SIG),
+            ParseError,
+            "'exists' is a reserved word",
+            id="parse-reserved-term",
+        ),
+        pytest.param(
+            lambda: parse_formula("neg(x, y) = x", HSIG),
+            ParseError,
+            "'neg' expects 1 argument, got 2",
+            id="parse-neg-arity",
+        ),
+    ],
+)
+def test_refusals_name_the_fault(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 # --- reference evaluator -----------------------------------------------------
@@ -138,8 +191,6 @@ def test_eval_formula_connectives_and_quantifiers():
 
 def test_eval_formula_requires_assignment():
     a3 = catalog.build("An?n=3")
-    from uaforge.core import UnassignedVariableError
-
     with pytest.raises(UnassignedVariableError):
         eval_formula(a3, parse_formula("x = x", HSIG))
 
@@ -318,6 +369,41 @@ def test_definition_edge_cases(src):
     for x in range(a3.size):
         got = project_exists(a3, f, (1,), {0: x})
         assert (got == _reference_projection(a3, f, (1,), {0: x})).all()
+
+
+def test_project_exists_refuses_a_repeated_kept_variable():
+    # kept=(y, y) would bind y to two values at once; the reference evaluator
+    # and the plan used to answer it differently (36 cells against 4)
+    a3 = catalog.build("An?n=3")
+    sources = ("meet(x, y) = y", "exists z . meet(x, y) = y /\\ z = z")
+    with mock.patch.object(logic, "_compile", wraps=logic._compile) as compile_, mock.patch.object(
+        logic, "_eval", wraps=logic._eval
+    ) as reference:
+        for src in sources:
+            with pytest.raises(ArityError, match=re.escape("kept repeats a variable: (1, 1)")):
+                project_exists(a3, parse_formula(src, HSIG), (1, 1), {0: 3})
+    assert compile_.call_count == reference.call_count == 0
+
+
+def test_kept_variables_are_fixed_one_at_a_time_when_no_step_fits(monkeypatch):
+    # f = and on {0, 1}: at BATCH_LIMIT 2 no step over x, y and z fits, so the
+    # first solve gives up and x is fixed at each value in turn
+    sig = Signature((("f", 2),))
+    alg = make_algebra("and", sig, 2, {"f": (0, 0, 0, 1)})
+    f = parse_formula("exists z . f(x, z) = y", sig)  # x:0 y:1 z:2
+    results = []
+    solve = logic._solve
+
+    def spy_solve(alg, plan, env):
+        results.append(solve(alg, plan, env))
+        return results[-1]
+
+    monkeypatch.setattr(logic, "BATCH_LIMIT", 2)
+    monkeypatch.setattr(logic, "_solve", spy_solve)
+    got = project_exists(alg, f, (0, 1))
+    assert sum(r is None for r in results) == 1
+    assert got.astype(int).tolist() == [[1, 0], [1, 1]]
+    assert (got == _reference_projection(alg, f, (0, 1), {})).all()
 
 
 def test_phi_k4_matches_the_atom_count_table(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,34 @@ def test_validation_rejects_non_canonical():
         Partition((1, 1))  # rep above own index
     with pytest.raises(ValueError):
         Partition((0, 0, 1))  # rep of 2 is not a class representative
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: Partition.from_pairs(3, [(0, 3)]), "pair (0,3) out of range for size 3", id="pair"
+        ),
+        pytest.param(
+            lambda: Partition.identity(2).leq(Partition.identity(3)),
+            "partitions of different sizes",
+            id="leq",
+        ),
+        pytest.param(
+            lambda: Partition.identity(2).join(Partition.identity(3)),
+            "partitions of different sizes",
+            id="join",
+        ),
+        pytest.param(
+            lambda: Partition.identity(2).meet(Partition.identity(3)),
+            "partitions of different sizes",
+            id="meet",
+        ),
+    ],
+)
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @given(pair_lists(), pair_lists())
