@@ -133,17 +133,20 @@ class Apply:
     symbol: str
     args: tuple = ()
 
+    def __post_init__(self):
+        # the variable indices left to right, repeats kept, and their set, read
+        # off the arguments' own; not fields, so equality, hashing and repr
+        # still see only the symbol and the arguments
+        walk = tuple(i for a in self.args for i in (a._walk if isinstance(a, Apply) else (a.index,)))
+        object.__setattr__(self, "_walk", walk)
+        object.__setattr__(self, "_variables", frozenset(walk))
+
 
 Term = Variable | Apply
 
 
 def term_variables(t: Term) -> frozenset[int]:
-    if isinstance(t, Variable):
-        return frozenset((t.index,))
-    out: frozenset[int] = frozenset()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
+    return frozenset((t.index,)) if isinstance(t, Variable) else t._variables
 
 
 # ---------------------------------------------------------------------------

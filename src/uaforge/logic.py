@@ -21,7 +21,8 @@ nests one level deeper, and the parser refuses more than NESTING_LIMIT levels.
 eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
 conjunction of equations into a plan on each call, evaluating terms over
-numpy arrays; other formulas go to the reference.
+numpy arrays; other formulas go to the reference.  The branches of one call
+share its domain cuts and definition images; nothing outlives the call.
 
 An equation whose grid over the full domains has more than BATCH_LIMIT cells
 and one side ground (every variable assigned by env) is split first: t = c
@@ -116,11 +117,7 @@ Formula = Eq | And | Or | Implies | Not | Exists | Forall
 
 
 def _term_vars_ordered(t: Term, out: list[int]) -> None:
-    if isinstance(t, Variable):
-        out.append(t.index)
-    else:
-        for a in t.args:
-            _term_vars_ordered(a, out)
+    out.extend((t.index,) if isinstance(t, Variable) else t._walk)
 
 
 def free_variables(f: Formula) -> frozenset[int]:
@@ -238,6 +235,7 @@ class _Plan(NamedTuple):
     unary: tuple  # (v, conjunct): cuts the domain of v
     factors: tuple  # (scope, conjunct)
     definitions: dict  # v -> (term, the term's scope)
+    shared: dict  # the domain cuts and definition images of one call, shared by its branches
 
 
 class _Member(NamedTuple):
@@ -305,7 +303,7 @@ def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict) -> lis
     return alternatives if len(alternatives) <= 64 else whole
 
 
-def _plan(conjuncts: list, kept: tuple, solver_vars: set) -> _Plan:
+def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict) -> _Plan:
     """The plan of one branch: its conjuncts sorted into ground checks, domain
     cuts, definitions and factors."""
     occurring: dict[int, None] = {}
@@ -323,7 +321,7 @@ def _plan(conjuncts: list, kept: tuple, solver_vars: set) -> _Plan:
         elif not (isinstance(c, Eq) and _define(c, walk, scope, definitions)):
             factors.append((scope, c))
     variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
-    return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions)
+    return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions, shared)
 
 
 def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Plan] | None:
@@ -350,7 +348,8 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
                         alternatives = split
                     break
         branches = [b + a for b in branches for a in alternatives]
-    return [_plan(b, kept, solver_vars) for b in branches]
+    shared: dict = {}
+    return [_plan(b, kept, solver_vars, shared) for b in branches]
 
 
 def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
@@ -422,16 +421,26 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
         return nothing
+    # each cut and image is computed when a branch first needs it, keyed by
+    # the identity of its conjunct, or of its term and the term's variables'
+    # domains; the plans keep those objects alive for the call
+    shared = plan.shared
     dom = {v: np.ones(size, dtype=bool) for v in plan.variables}
     for v, c in plan.unary:
-        dom[v] &= _holds(alg, c, {**env, v: np.arange(size)})
+        if id(c) not in shared:
+            shared[id(c)] = _holds(alg, c, {**env, v: np.arange(size)})
+        dom[v] &= shared[id(c)]
         if not dom[v].any():
             return nothing
     factors, definitions = list(plan.factors), dict(plan.definitions)
     for v, (t, uses) in plan.definitions.items():
         if size ** len(uses) > BATCH_LIMIT:  # then one constant on the domains is a cut
-            image = _image(alg, t, env, dom)
-            dom[v] &= image
+            key = (id(t), *(dom[u].tobytes() for u in uses))
+            if key not in shared:
+                shared[key] = _image(alg, t, env, dom)
+            image = shared[key]
+            # not in place: the image of a bare variable u, which shared holds, is dom[u]
+            dom[v] = dom[v] & image
             if not dom[v].any():
                 return nothing
             if image.sum() == 1:
@@ -485,7 +494,9 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     """Boolean array, one axis of length alg.size per kept variable, True
     where f holds; the other free variables take their values from env.
 
-    The plan is compiled on every call.  When a step's result would be over
+    The plan is compiled on every call, and its branches share their domain
+    cuts and definition images, each computed when a branch first needs it;
+    nothing is kept across calls.  When a step's result would be over
     BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
     other than existential conjunctions of equations, and plans that are
     still too big, go to the reference evaluator; when it would check over

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import pickle
 import re
 from unittest import mock
 
@@ -18,6 +20,7 @@ from uaforge.core import (
     Variable,
     eval_term,
     make_algebra,
+    term_variables,
 )
 from uaforge.logic import (
     And,
@@ -123,6 +126,36 @@ def test_variable_sets():
     assert free_variables(g) == frozenset({0, 1, 3})
 
 
+def _plain_walk(t):
+    if isinstance(t, Variable):
+        return [t.index]
+    return [i for a in t.args for i in _plain_walk(a)]
+
+
+def _rebuilt(t):
+    if isinstance(t, Variable):
+        return Variable(t.index)
+    return Apply(t.symbol, tuple(_rebuilt(a) for a in t.args))
+
+
+@given(terms(range(4), 8))
+@settings(max_examples=100)
+def test_terms_carry_their_variable_walk(t):
+    # the walk an Apply stores at construction is the recursive one, and it
+    # is not a field: equal terms built apart compare, hash and print alike
+    walk = []
+    logic._term_vars_ordered(t, walk)
+    assert walk == _plain_walk(t)
+    assert term_variables(t) == frozenset(walk)
+    twin = _rebuilt(t)
+    assert twin is not t
+    assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+    back = pickle.loads(pickle.dumps(t))  # restores the stored walk, not a new one
+    again = []
+    logic._term_vars_ordered(back, again)
+    assert back == t and again == walk and term_variables(back) == term_variables(t)
+
+
 def _point():
     return make_algebra("point", SIG, 1, {"f": (0,), "g": (0,), "c": (0,)})
 
@@ -193,6 +226,17 @@ def test_eval_formula_requires_assignment():
     a3 = catalog.build("An?n=3")
     with pytest.raises(UnassignedVariableError):
         eval_formula(a3, parse_formula("x = x", HSIG))
+
+
+def test_a_false_ground_check_comes_before_the_cuts():
+    # the cut of z reads q, which env leaves unassigned: like the reference
+    # evaluator, the solver checks x = y first and needs q only when it holds
+    a3 = catalog.build("An?n=3")
+    f = parse_formula("exists z . x = y /\\ meet(q, z) = z", HSIG)  # x:0 y:1 q:2 z:3
+    for decide in (eval_formula, eval_exists_decomposed):
+        assert not decide(a3, f, {0: 0, 1: 1})
+        with pytest.raises(UnassignedVariableError):
+            decide(a3, f, {0: 1, 1: 1})
 
 
 # --- batch term evaluation ---------------------------------------------------
@@ -454,6 +498,60 @@ def test_solver_steps_only_over_linked_variables(monkeypatch):
         table = induced_partial_function(a4, catalog.build(f"phi?k={k}&n=4")[0], 1)
         assert table == {(x,): catalog.expected_phi_value(a4, k, x) for x in range(a4.size)}
     assert not isolated
+
+
+def test_branches_of_one_call_share_their_cuts_and_images(monkeypatch):
+    # phi(3, 4) at a 3-atom x with a non-value y runs all 2^3 branches of the
+    # split cover conjuncts.  Each unary conjunct is cut at most once per
+    # call, and each w is imaged once per pair of cut domains of its block:
+    # 2k = 6 images, where every branch on its own made 3 (24 in all)
+    a4 = catalog.build("An?n=4")
+    f = catalog.build("phi?k=3&n=4")[0]
+    plans, cuts, images, depth = [], collections.Counter(), [0], [0]
+    compile_, holds, image = logic._compile, logic._holds, logic._image
+
+    def spy_compile(*args):
+        plans.append(compile_(*args))
+        return plans[-1]
+
+    def spy_holds(alg, c, env):
+        cuts[id(c)] += 1
+        return holds(alg, c, env)
+
+    def spy_image(*args):  # _image recurses through this spy: count the outermost calls
+        images[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return image(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(logic, "_compile", spy_compile)
+    monkeypatch.setattr(logic, "_holds", spy_holds)
+    monkeypatch.setattr(logic, "_image", spy_image)
+    x = next(a for a in range(a4.size) if len(analysis.atoms_below(a4, a)) == 3)
+    value = catalog.expected_phi_value(a4, 3, x)
+    other = next(b for b in range(a4.size) if len(analysis.atoms_below(a4, b)) == 3 and b != value)
+    for y in (other, value):
+        cuts.clear()
+        images[0] = 0
+        assert eval_exists_decomposed(a4, f, {0: x, 1: y}) == (y == value)
+        unary = {id(c) for plan in plans[-1] for _v, c in plan.unary}
+        assert unary and all(cuts[c] <= 1 for c in unary)
+        if y == other:
+            assert len(plans[-1]) == 8 and images[0] == 6
+
+
+def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
+    # at BATCH_LIMIT 1 every definition is imaged and f(w, p) = x splits into
+    # 4 branches.  The image of the bare u, for v = u, is u's domain, which
+    # u = g(w) then cuts in the first branch; the branches that share that
+    # image must see it uncut (cutting in place made this answer False)
+    monkeypatch.setattr(logic, "BATCH_LIMIT", 1)
+    alg = make_algebra("r", SIG, 3, {"f": (0, 0, 1, 2, 1, 0, 1, 2, 2), "g": (0, 2, 1), "c": (1,)})
+    f = parse_formula("exists v u w p . v = u /\\ u = g(w) /\\ f(w, p) = x /\\ f(v, p) = y", SIG)
+    assert eval_formula(alg, f, {0: 2, 1: 0})
+    assert eval_exists_decomposed(alg, f, {0: 2, 1: 0})
 
 
 # --- induced functions -------------------------------------------------------
