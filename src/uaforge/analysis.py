@@ -23,8 +23,8 @@ once per class, when the class opens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,15 +51,14 @@ def is_homomorphism(A: FiniteAlgebra, B: FiniteAlgebra, mapping) -> bool:
     return bool(_commuting(A, B, np.array([mapping], dtype=np.int64))[0])
 
 
-@dataclass(frozen=True)
-class HomSet:
-    maps: tuple[tuple[int, ...], ...]
+class HomSet(tuple):
+    """Homomorphisms as tuples of images, in the order the search finds them."""
 
-    def __len__(self):
-        return len(self.maps)
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.maps)
+    @property
+    def maps(self) -> tuple[tuple[int, ...], ...]:  # the set itself, for older callers
+        return self
 
 
 def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False) -> HomSet:
@@ -80,7 +79,7 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     injective = kind in ("injective", "bijective")
     out: list[tuple[int, ...]] = []
     if (injective and A.size > B.size) or (kind == "bijective" and A.size != B.size):
-        return HomSet(())
+        return HomSet()
 
     # the tables as nested lists: an entry is several times cheaper to read than a numpy scalar
     nonconst = [
@@ -173,7 +172,7 @@ def homs(A: FiniteAlgebra, B: FiniteAlgebra, kind: str = "all", first_only=False
     if not ok.all():
         bad = out[int(np.flatnonzero(~ok)[0])]
         raise RuntimeError(f"hom search {A.name} -> {B.name} found {bad}, which is not a homomorphism")
-    return HomSet(tuple(out))
+    return HomSet(out)
 
 
 def endomorphisms(A: FiniteAlgebra) -> HomSet:
@@ -223,16 +222,14 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """Some bijective homomorphism A -> B exists; the search stops at the first."""
     if A.size != B.size or A.signature != B.signature:
         return False
-    return bool(homs(A, B, "bijective", first_only=True).maps)
+    return bool(homs(A, B, "bijective", first_only=True))
 
 
 # ---------------------------------------------------------------------------
 # HS classification
 
 
-@dataclass(frozen=True)
-class HSClassification:
-    algebra: str
+class HSClassification(NamedTuple):
     subalgebras: tuple[FiniteAlgebra, ...]  # the first subalgebra of each isomorphism type
     representatives: tuple[FiniteAlgebra, ...]  # one quotient per isomorphism class
     si: tuple[bool, ...]  # per class; SI = FSI on a finite algebra
@@ -268,32 +265,27 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
             if not any(is_isomorphic(q, rep) for rep in reps):
                 reps.append(q)
                 si.append(quotient_is_si(lat, theta))
-    return HSClassification(A.name, tuple(subs), tuple(reps), tuple(si))
+    return HSClassification(tuple(subs), tuple(reps), tuple(si))
 
 
 # ---------------------------------------------------------------------------
 # amalgamation
 
 
-@dataclass(frozen=True)
-class Span:
-    apex: str
-    left: str
-    right: str
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Amalgam:
+class Amalgam(NamedTuple):
     target: str
     p: tuple[int, ...]
     q: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    span: Span
+class SpanReport(NamedTuple):
+    """The span f: apex -> left, g: apex -> right, by member name, and its amalgam."""
+
+    apex: str
+    left: str
+    right: str
+    f: tuple[int, ...]
+    g: tuple[int, ...]
     amalgam: Amalgam | None
 
     @property
@@ -309,7 +301,7 @@ def check_amalgamation(members) -> tuple[bool, list[SpanReport]]:
     The embeddings between every ordered pair of members are found once.
     """
     members = list(members)
-    emb = [[embeddings(x, y).maps for y in members] for x in members]
+    emb = [[embeddings(x, y) for y in members] for x in members]
     indices = range(len(members))
     reports: list[SpanReport] = []
     for a, apex in enumerate(members):
@@ -327,8 +319,7 @@ def check_amalgamation(members) -> tuple[bool, list[SpanReport]]:
                             ),
                             None,
                         )
-                        span = Span(apex.name, members[b].name, members[c].name, f, g)
-                        reports.append(SpanReport(span, amalgam))
+                        reports.append(SpanReport(apex.name, members[b].name, members[c].name, f, g, amalgam))
     return all(r.ok for r in reports), reports
 
 
@@ -336,8 +327,7 @@ def check_amalgamation(members) -> tuple[bool, list[SpanReport]]:
 # epic subalgebras
 
 
-@dataclass(frozen=True)
-class EpicWitness:
+class EpicWitness(NamedTuple):
     subalgebra: tuple[int, ...]  # C, as elements of the big algebra
     inner: tuple[int, ...]  # A, proper subuniverse of C
     endo: tuple[int, ...] | None  # fixes A pointwise, moves some element of C
@@ -423,8 +413,4 @@ def atom_permutation_automorphism(alg: FiniteAlgebra, sigma) -> tuple[tuple[int,
                 img = alg.op("join", img, sigma[p])
         out.append(img)
     mapping = tuple(out)
-    ok = (
-        sorted(mapping) == list(range(alg.size))
-        and is_homomorphism(alg, alg, mapping)
-    )
-    return mapping, ok
+    return mapping, sorted(mapping) == list(range(alg.size)) and is_homomorphism(alg, alg, mapping)

@@ -315,7 +315,7 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
     SizeGuardError, for alg over SIZE_GUARD elements among others, comes
     before any solve.
     """
-    group = automorphisms(alg).maps
+    group = automorphisms(alg)
     new_syms = list(alg.signature.symbols)
     tables = dict(alg.tables)
     for symbol, formula, arity in ops:
@@ -399,7 +399,10 @@ def parse_id(ident: str) -> tuple[str, dict[str, int]]:
 
 
 def catalog_ids() -> list[str]:
-    return sorted(_FIXED) + ["An?n=N", "Bn?n=N", "phi?k=K&n=N"]
+    return sorted(_FIXED) + [
+        base + "?" + "&".join(f"{p}={p.upper()}" for p in names)
+        for base, (names, _) in _PARAMETERIZED.items()
+    ]
 
 
 def build(catalog_id: str):

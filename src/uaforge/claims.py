@@ -12,8 +12,8 @@ evidence string phrased with catalog element names, and wall time.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from . import catalog
 from .analysis import (
@@ -39,16 +39,11 @@ from .congruences import (
     principal_congruence,
 )
 from .core import AlgebraError, all_subuniverses, quotient, sg_closure, subalgebra
-from .logic import (
-    eval_formula,
-    induced_partial_function,
-    is_pp,
-)
+from .logic import eval_formula, induced_partial_function, is_pp
 from .partitions import Partition
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     id: str
     statement: str
     status: str  # pass | fail | error (the check raised)
@@ -56,7 +51,7 @@ class ClaimResult:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class Workspace:
@@ -391,8 +386,8 @@ def _fsi_an(ws, n):
 def _con_pres(ws, n):
     count = 0
     for _s, sub in ws.bn_subalgebras(n):
-        full = set(congruence_lattice(sub).congruences)
-        red = set(congruence_lattice(catalog.heyting_reduct(sub)).congruences)
+        full = set(congruence_lattice(sub))
+        red = set(congruence_lattice(catalog.heyting_reduct(sub)))
         if full != red:
             return False, f"congruences differ on {sub.name}"
         count += 1
@@ -428,8 +423,8 @@ def _aut_sigma(ws, n):
     aut = ws.aut_bn(n)
     ok = (
         len(maps_an) == len(maps_bn) == len(aut) == len(automorphisms(An))
-        and maps_bn == set(aut.maps)
-        and is_group_under_composition(aut.maps)
+        and maps_bn == set(aut)
+        and is_group_under_composition(aut)
     )
     return ok, f"{len(maps_bn)} atom permutations = the whole automorphism group, closed under composition"
 
@@ -457,7 +452,7 @@ def _aut_rigid(ws, n):
     aut = ws.aut_bn(n)
     pairs = 0
     for _s, sub in ws.bn_subalgebras(n):
-        embs = embeddings(sub, Bn).maps
+        embs = embeddings(sub, Bn)
         # aut must be the whole group (S3.AUT-SIGMA checks it): then two
         # embeddings differ by an automorphism exactly when both lie in the
         # orbit of the first embedding

@@ -213,7 +213,7 @@ def homs(source, target, kind):
                 "target": B.name,
                 "kind": kind,
                 "count": len(found),
-                "maps": [list(m) for m in found.maps],
+                "maps": found,
             }
         )
     )

@@ -21,8 +21,6 @@ least member; on a finite algebra FSI and SI coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import MAX_UNIVERSE, FiniteAlgebra, SizeGuardError, guard_size
@@ -104,24 +102,22 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     return Partition(tuple(_principals(alg)[row].tolist()))
 
 
-@dataclass(frozen=True)
-class CongruenceLattice:
-    size: int
-    congruences: tuple[Partition, ...]
+class CongruenceLattice(tuple):
+    """The congruences of an algebra, finer first: the identity first, the full relation last."""
 
-    def __len__(self):
-        return len(self.congruences)
-
-    def __iter__(self):
-        return iter(self.congruences)
+    __slots__ = ()
 
     @property
     def identity(self) -> Partition:
-        return Partition.identity(self.size)
+        return self[0]
 
     @property
     def full(self) -> Partition:
-        return Partition.full(self.size)
+        return self[-1]
+
+    @property
+    def congruences(self) -> tuple[Partition, ...]:  # the lattice itself, for older callers
+        return self
 
 
 def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
@@ -147,8 +143,7 @@ def congruence_lattice(alg: FiniteAlgebra) -> CongruenceLattice:
         p = Partition(rep)
         congs |= {c.join(p) for c in congs if c.rep[a] != c.rep[b]}
     # refinement-compatible total order: finer congruences have more blocks
-    ordered = sorted(congs, key=lambda c: (-c.num_blocks, c.rep))
-    return CongruenceLattice(size, tuple(ordered))
+    return CongruenceLattice(sorted(congs, key=lambda c: (-c.num_blocks, c.rep)))
 
 
 def _least_above(lattice: CongruenceLattice, theta: Partition) -> Partition | None:
@@ -157,7 +152,7 @@ def _least_above(lattice: CongruenceLattice, theta: Partition) -> Partition | No
     The lattice lists finer congruences first, so only the first congruence
     above theta can be below all the others.
     """
-    above = [c for c in lattice.congruences if theta.leq(c) and c != theta]
+    above = [c for c in lattice if theta.leq(c) and c != theta]
     if above and all(above[0].leq(c) for c in above):
         return above[0]
     return None
@@ -169,10 +164,7 @@ def monolith(lattice: CongruenceLattice) -> Partition | None:
 
 
 def is_simple(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
-    if alg.size == 1:
-        return False
-    lattice = lattice or congruence_lattice(alg)
-    return len(lattice) == 2
+    return alg.size > 1 and len(lattice or congruence_lattice(alg)) == 2
 
 
 def is_si(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:

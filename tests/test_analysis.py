@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 from unittest import mock
 
@@ -9,6 +10,11 @@ from hypothesis import strategies as st
 
 from uaforge import analysis, catalog
 from uaforge.analysis import (
+    Amalgam,
+    EpicWitness,
+    HSClassification,
+    HomSet,
+    SpanReport,
     _commuting,
     atom_permutation_automorphism,
     atoms_of,
@@ -403,8 +409,8 @@ def test_amalgamation_positive_and_negative():
     assert len(reports) > 0
     # verify the returned embeddings actually commute on a sample
     r = reports[0]
-    for x in range(len(r.span.f)):
-        assert r.amalgam.p[r.span.f[x]] == r.amalgam.q[r.span.g[x]]
+    for x in range(len(r.f)):
+        assert r.amalgam.p[r.f[x]] == r.amalgam.q[r.g[x]]
     # g = (0, 0, 2) on U3 fixes 0 and 2; the only member that both of U1's
     # embeddings into U3 (at 0 and at 2) reach is U3, whose one embedding
     # into itself is the identity, so those two spans have no amalgam
@@ -414,7 +420,7 @@ def test_amalgamation_positive_and_negative():
     ok2, reports2 = check_amalgamation([u1, u3])
     assert not ok2
     assert len(reports2) == 10
-    failed = [(r.span.apex, r.span.left, r.span.right, r.span.f, r.span.g) for r in reports2 if not r.ok]
+    failed = [(r.apex, r.left, r.right, r.f, r.g) for r in reports2 if not r.ok]
     assert failed == [("U1", "U3", "U3", (0,), (2,)), ("U1", "U3", "U3", (2,), (0,))]
     assert_amalgamation_matches_definition([u1, u3], reports2)
 
@@ -431,12 +437,12 @@ def assert_amalgamation_matches_definition(members, reports):
         for right in members
         for g in embeddings(apex, right)
     ]
-    assert [(r.span.apex, r.span.left, r.span.right, r.span.f, r.span.g) for r in reports] == spans
+    assert [(r.apex, r.left, r.right, r.f, r.g) for r in reports] == spans
     by_name = {m.name: m for m in members}
     assert len(by_name) == len(members)
     for r in reports:
-        apex, left, right = by_name[r.span.apex], by_name[r.span.left], by_name[r.span.right]
-        f, g = r.span.f, r.span.g
+        apex, left, right = by_name[r.apex], by_name[r.left], by_name[r.right]
+        f, g = r.f, r.g
         if r.ok:
             target, p, q = by_name[r.amalgam.target], r.amalgam.p, r.amalgam.q
             for emb, src in ((p, left), (q, right)):
@@ -544,3 +550,33 @@ def test_size_guard_on_search():
         homs(big, big)
     with pytest.raises(SizeGuardError):
         hs_classify(big)
+
+
+def test_hom_set_is_the_tuple_of_its_maps():
+    a1, a3 = catalog.build("An?n=1"), catalog.build("An?n=3")
+    for found in (homs(a3, a3), embeddings(a1, a3), automorphisms(a3), embeddings(a3, a1)):
+        plain = tuple(found)
+        assert isinstance(found, HomSet) and found == plain and hash(found) == hash(plain)
+        assert found.maps == plain  # read by the benchmark workloads
+        back = pickle.loads(pickle.dumps(found))
+        assert type(back) is HomSet and back == plain and back.maps == plain
+    assert embeddings(a3, a1) == () and not embeddings(a3, a1)
+
+
+def test_span_hs_and_epic_results_are_flat_named_tuples():
+    assert SpanReport._fields == ("apex", "left", "right", "f", "g", "amalgam")
+    assert Amalgam._fields == ("target", "p", "q")
+    assert HSClassification._fields == ("subalgebras", "representatives", "si")
+    assert EpicWitness._fields == ("subalgebra", "inner", "endo", "moved")
+    unary = Signature((("g", 1),))
+    u1 = make_algebra("U1", unary, 1, {"g": (0,)})
+    u3 = make_algebra("U3", unary, 3, {"g": (0, 0, 2)})
+    _ok, reports = check_amalgamation([u1, u3])
+    assert [r.ok for r in reports] == [r.amalgam is not None for r in reports]
+    assert ("U1", "U3", "U3", (0,), (2,), None) in reports
+    assert pickle.loads(pickle.dumps(reports)) == reports
+    hs = hs_classify(catalog.build("sec2.A"))
+    assert hs.fsi_classes() == hs.si_classes() == [c for c, si in enumerate(hs.si) if si]
+    _ok, witnesses = check_epic_subalgebras(catalog.build("An?n=2"))
+    assert witnesses and all(w.ok == (w.endo is not None) for w in witnesses)
+    assert pickle.loads(pickle.dumps(witnesses)) == witnesses

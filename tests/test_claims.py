@@ -105,6 +105,14 @@ def test_single_claim_result_shape():
     json.dumps(d)  # serializable
 
 
+def test_claim_result_to_dict_keeps_the_report_key_order():
+    # check --json prints the keys in this order
+    r = run_claim("S2.SG-EMPTY")
+    keys = ["id", "statement", "status", "evidence", "elapsed_ms"]
+    assert list(r.to_dict()) == list(report_dict([r])["claims"][0]) == keys
+    assert tuple(r.to_dict().values()) == r
+
+
 def test_every_claim_passes_at_n3():
     ws = Workspace()
     results = run_all(n=3, workspace=ws)

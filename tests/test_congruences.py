@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import re
 import time
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from uaforge import catalog
 from uaforge.congruences import (
+    CongruenceLattice,
     congruence_lattice,
     is_congruence,
     is_fsi,
@@ -22,6 +24,7 @@ from uaforge.congruences import (
 from uaforge.core import (
     Signature,
     SizeGuardError,
+    all_subuniverses,
     direct_product,
     make_algebra,
     quotient,
@@ -314,3 +317,23 @@ def test_lattice_index_and_accessors():
     assert lat.congruences[0] == lat.identity
     theta = catalog.build("sec2.theta")
     assert theta in lat.congruences
+
+
+def test_congruence_lattice_is_the_tuple_of_its_congruences():
+    # finer first: the identity opens every lattice and the full relation
+    # closes it, on A4's subalgebras, one element (where they coincide) and
+    # four elements without operations (every partition, Bell(4) = 15)
+    a4 = catalog.build("An?n=4")
+    one = make_algebra("one", SIG, 1, {"f": (0,), "g": (0,)})
+    bare = make_algebra("bare", Signature(()), 4, {})
+    for alg in [subalgebra(a4, s)[0] for s in all_subuniverses(a4)] + [one, bare]:
+        lat = congruence_lattice(alg)
+        plain = tuple(lat)
+        assert isinstance(lat, CongruenceLattice) and lat == plain and hash(lat) == hash(plain)
+        assert lat.congruences == plain  # read by the benchmark workloads
+        assert lat.identity == lat[0] == Partition.identity(alg.size)
+        assert lat.full == lat[-1] == Partition.full(alg.size)
+        back = pickle.loads(pickle.dumps(lat))
+        assert type(back) is CongruenceLattice and back == plain and back.full == lat.full
+    assert congruence_lattice(one) == (Partition.identity(1),) == (Partition.full(1),)
+    assert len(congruence_lattice(bare)) == 15
