@@ -12,7 +12,8 @@ automorphisms of the powerset-style algebras branch only over atom images.
 The maps the search finds are re-checked against the full tables
 independently, in one batched numpy check per call, and a map that fails it
 raises RuntimeError, since it marks a fault in the search.  Isomorphism is
-this search over bijections alone, stopped at the first map found.
+this search over bijections alone, stopped at the first map found; two
+algebras with equal tables are isomorphic by the identity map, with no search.
 
 HS classification opens only the first subalgebra of each isomorphism type:
 one congruence lattice and one set of quotients per type, since a later
@@ -219,9 +220,14 @@ def is_group_under_composition(maps) -> bool:
 
 
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """Some bijective homomorphism A -> B exists; the search stops at the first."""
+    """Some bijective homomorphism A -> B exists; the search stops at the first.
+
+    Equal tables need no search: comparing them is the full-table check of
+    the identity map."""
     if A.size != B.size or A.signature != B.signature:
         return False
+    if A.tables == B.tables:
+        return True
     return bool(homs(A, B, "bijective", first_only=True))
 
 
@@ -240,7 +246,7 @@ class HSClassification(NamedTuple):
     fsi_classes = si_classes
 
 
-def hs_classify(A: FiniteAlgebra) -> HSClassification:
+def hs_classify(A: FiniteAlgebra, subuniverses=None, lattice=None) -> HSClassification:
     """Classify every quotient of every subalgebra of A up to isomorphism.
 
     Only the first subalgebra of each isomorphism type, in all_subuniverses
@@ -250,16 +256,21 @@ def hs_classify(A: FiniteAlgebra) -> HSClassification:
     subalgebra's congruence lattice: the congruences of sub/theta correspond
     to the lattice interval above theta, so no quotient lattices are
     computed.  On a finite algebra SI is also FSI.
+
+    subuniverses and lattice stand in for all_subuniverses and
+    congruence_lattice, so that a caller can hand in a memo of them.
     """
+    subuniverses = subuniverses or all_subuniverses
+    lattice = lattice or congruence_lattice
     subs: list[FiniteAlgebra] = []
     reps: list[FiniteAlgebra] = []
     si: list[bool] = []
-    for s in all_subuniverses(A):
+    for s in subuniverses(A):
         sub, _embed = subalgebra(A, s)
         if any(is_isomorphic(first, sub) for first in subs):
             continue
         subs.append(sub)
-        lat = congruence_lattice(sub)
+        lat = lattice(sub)
         for theta in lat:
             q = quotient(sub, theta)
             if not any(is_isomorphic(q, rep) for rep in reps):
@@ -338,17 +349,18 @@ class EpicWitness(NamedTuple):
         return self.endo is not None
 
 
-def check_epic_subalgebras(big: FiniteAlgebra) -> tuple[bool, list[EpicWitness]]:
+def check_epic_subalgebras(big: FiniteAlgebra, subuniverses=None) -> tuple[bool, list[EpicWitness]]:
     """No proper subalgebra is epic: two endomorphisms agree on it, differ beyond.
 
     For every proper subuniverse A of every subalgebra C of big, find an
     endomorphism of big that is the identity on A but moves some element of
     C - A (the second endomorphism of the pair is the identity map).  The
     subuniverses of C are the subuniverses of big inside C, so the pairs
-    (C, A) come from one list of big's subuniverses.
+    (C, A) come from one list of big's subuniverses: subuniverses(big) when
+    the caller hands in a memo, else all_subuniverses(big).
     """
     ends = endomorphisms(big)
-    subs = all_subuniverses(big)
+    subs = (subuniverses or all_subuniverses)(big)
     witnesses: list[EpicWitness] = []
     for c in subs:
         for a in subs:

@@ -55,10 +55,16 @@ class ClaimResult(NamedTuple):
 
 
 class Workspace:
-    """Per-run cache of what several claims derive from An and Bn; the catalog
-    memoizes the algebras themselves, so each lf_k table of Bn is solved once.
-    The HS classification of Bn gives S3.FSI-BN and S3.AMALG the first
-    subalgebra of each isomorphism type."""
+    """Per-run cache of what several claims derive from the same structures;
+    the catalog memoizes the algebras themselves, so each lf_k table of Bn is
+    solved once.  The HS classification of Bn gives S3.FSI-BN and S3.AMALG
+    the first subalgebra of each isomorphism type.
+
+    An algebra's subuniverse list and congruence lattice are held by its
+    size, signature and tables in signature order, since they depend on
+    nothing else: a subalgebra built by two claims, or the Heyting reduct of
+    a Bn subalgebra and the An subalgebra with the same tables, share one
+    entry.  The entries live as long as the workspace, one run."""
 
     def __init__(self):
         self._store: dict = {}
@@ -67,6 +73,16 @@ class Workspace:
         if key not in self._store:
             self._store[key] = thunk()
         return self._store[key]
+
+    def _by_tables(self, kind, fn, alg):
+        tables = tuple(tuple(alg.tables[sym]) for sym in alg.signature.names())
+        return self.get((kind, alg.size, alg.signature, tables), lambda: fn(alg))
+
+    def subuniverses(self, alg):
+        return self._by_tables("subs", all_subuniverses, alg)
+
+    def lattice(self, alg):
+        return self._by_tables("con", congruence_lattice, alg)
 
     def an(self, n):
         return catalog.build(f"An?n={n}")
@@ -80,12 +96,12 @@ class Workspace:
     def bn_subalgebras(self, n):
         def build():
             big = self.bn(n)
-            return [(s, subalgebra(big, s)[0]) for s in all_subuniverses(big)]
+            return [(s, subalgebra(big, s)[0]) for s in self.subuniverses(big)]
 
         return self.get(("bn-subs", n), build)
 
     def hs_bn(self, n):
-        return self.get(("hs-bn", n), lambda: hs_classify(self.bn(n)))
+        return self.get(("hs-bn", n), lambda: hs_classify(self.bn(n), self.subuniverses, self.lattice))
 
     def sec2_phi_tables(self):
         """The partial function sec2.phi induces on sec2.A, sec2.A-minus-a4 and
@@ -133,7 +149,7 @@ def _sg_empty(ws, n):
 @_claim("S2.SUBALGS", "sec2.A has exactly two subuniverses: itself and the one minus a4")
 def _subalgs(ws, n):
     A = catalog.build("sec2.A")
-    subs = all_subuniverses(A)
+    subs = ws.subuniverses(A)
     want = [(0, 1, 2, 3, 5, 6, 7), tuple(range(8))]
     return subs == want, f"{len(subs)} subuniverses, sizes {[len(s) for s in subs]}"
 
@@ -155,7 +171,7 @@ def _theta_cong(ws, n):
 @_claim("S2.SIMPLE-A", "sec2.A is simple")
 def _simple_a(ws, n):
     A = catalog.build("sec2.A")
-    lat = congruence_lattice(A)
+    lat = ws.lattice(A)
     return is_simple(A, lat), f"|Con(sec2.A)| = {len(lat)}"
 
 
@@ -163,7 +179,7 @@ def _simple_a(ws, n):
 def _con_a4(ws, n):
     Am = catalog.build("sec2.A-minus-a4")
     B = catalog.build("sec2.B")
-    lat = congruence_lattice(Am)
+    lat = ws.lattice(Am)
     if len(lat) != 3:
         return False, f"|Con| = {len(lat)}, expected 3"
     kinds = []
@@ -186,16 +202,16 @@ def _con_a4(ws, n):
 def _chain_si(ws, n):
     A = catalog.build("sec2.A")
     Am = catalog.build("sec2.A-minus-a4")
-    lat = congruence_lattice(Am)
+    lat = ws.lattice(Am)
     theta = catalog.build("sec2.theta")
-    ok = is_si(Am, lat) and monolith(lat) == theta and is_si(A)
+    ok = is_si(Am, lat) and monolith(lat) == theta and is_si(A, ws.lattice(A))
     return ok, "monolith of sec2.A-minus-a4 = Cg(a6,1); sec2.A is simple hence SI"
 
 
 @_claim("S2.SI-LIST", "the SI quotients of subalgebras of sec2.A are sec2.A, sec2.A-minus-a4, sec2.B")
 def _si_list(ws, n):
     A = catalog.build("sec2.A")
-    hs = hs_classify(A)
+    hs = hs_classify(A, ws.subuniverses, ws.lattice)
     reps = [hs.representatives[c] for c in hs.si_classes()]
     targets = [A, catalog.build("sec2.A-minus-a4"), catalog.build("sec2.B")]
     ok = len(reps) == 3 and all(
@@ -309,7 +325,7 @@ def _eq18(ws, n):
         if (An.op("meet", neg(a), neg(a)) == one) != (a == zero):
             return False, f"(6) fails at {a}"
     # (4) and (5) quantify over subalgebras
-    subs = all_subuniverses(An)
+    subs = ws.subuniverses(An)
     for s in subs:
         sub, _ = subalgebra(An, s)
         ats = catalog.atoms_of(sub)
@@ -371,7 +387,7 @@ def _fkn(ws, n):
 
 @_claim("S3.FSI-AN", "the FSI quotients of subalgebras of An are A0..An, one class each")
 def _fsi_an(ws, n):
-    hs = hs_classify(ws.an(n))
+    hs = hs_classify(ws.an(n), ws.subuniverses, ws.lattice)
     reps = [hs.representatives[c] for c in hs.fsi_classes()]
     if len(reps) != n + 1:
         return False, f"{len(reps)} FSI classes, expected {n + 1}"
@@ -386,8 +402,8 @@ def _fsi_an(ws, n):
 def _con_pres(ws, n):
     count = 0
     for _s, sub in ws.bn_subalgebras(n):
-        full = set(congruence_lattice(sub))
-        red = set(congruence_lattice(catalog.heyting_reduct(sub)))
+        full = set(ws.lattice(sub))
+        red = set(ws.lattice(catalog.heyting_reduct(sub)))
         if full != red:
             return False, f"congruences differ on {sub.name}"
         count += 1
@@ -472,7 +488,7 @@ def _amalg(ws, n):
 
 @_claim("S3.EPIC", "no proper subalgebra of a subalgebra of Bn is epic: an endomorphism pins it and moves the rest")
 def _epic(ws, n):
-    ok, witnesses = check_epic_subalgebras(ws.bn(n))
+    ok, witnesses = check_epic_subalgebras(ws.bn(n), ws.subuniverses)
     return ok, f"{len(witnesses)} proper inclusions separated by endomorphism pairs"
 
 

@@ -295,6 +295,37 @@ def test_is_isomorphic_negatives():
     assert not is_isomorphic(x, y)
 
 
+def test_equal_tables_are_isomorphic_without_a_search():
+    a = catalog.build("sec2.A")
+    names = tuple(f"t{i}" for i in range(a.size))
+    twin = make_algebra("twin", a.signature, a.size, a.tables, names)
+    # one symbol renamed: the same tables under another signature
+    rename = {"meet": "meet2"}
+    sig = Signature(tuple((rename.get(s, s), r) for s, r in a.signature.symbols))
+    renamed = make_algebra("renamed", sig, a.size, {rename.get(s, s): t for s, t in a.tables.items()})
+    with mock.patch.object(analysis, "homs", wraps=homs) as spy:
+        assert is_isomorphic(a, twin) is True
+        assert is_isomorphic(twin, a) is True
+        assert not is_isomorphic(a, renamed)
+    assert spy.call_count == 0
+
+
+def test_hs_classify_and_the_epic_survey_take_their_routines_from_the_caller():
+    b3 = catalog.build("Bn?n=3")
+    subs = mock.Mock(wraps=all_subuniverses)
+    lattice = mock.Mock(wraps=congruence_lattice)
+    with mock.patch.object(analysis, "all_subuniverses") as own_subs, mock.patch.object(
+        analysis, "congruence_lattice"
+    ) as own_lattice:
+        hs = hs_classify(b3, subs, lattice)
+        ok, witnesses = check_epic_subalgebras(b3, subs)
+    assert own_subs.call_count == own_lattice.call_count == 0
+    assert [c.args[0] for c in subs.call_args_list] == [b3, b3]
+    assert [c.args[0] for c in lattice.call_args_list] == list(hs.subalgebras)
+    assert hs == hs_classify(b3)
+    assert (ok, witnesses) == check_epic_subalgebras(b3)
+
+
 def test_hs_classify_sec2():
     a = catalog.build("sec2.A")
     cls = hs_classify(a)

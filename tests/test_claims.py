@@ -1,9 +1,10 @@
+import collections
 import json
 from unittest import mock
 
 import pytest
 
-from uaforge import catalog, claims
+from uaforge import analysis, catalog, claims, congruences, core
 from uaforge.analysis import HomSet, embeddings, hs_classify
 from uaforge.core import AlgebraError
 from uaforge.logic import FunctionalityError, induced_partial_function
@@ -177,6 +178,35 @@ def test_each_table_and_classification_is_computed_once_per_run(monkeypatch):
     assert spy.call_count == 6
     # sec2.A, A3 and B3; S3.AMALG reads the classification S3.FSI-BN made
     assert [c.args[0].name for c in hs.call_args_list] == ["sec2.A", "A3", "B3"]
+
+
+@pytest.mark.parametrize(
+    "n, distinct", [(3, {"all_subuniverses": 3, "congruence_lattice": 11}), (4, None)]
+)
+def test_each_structure_fact_is_computed_once_per_tables_per_run(monkeypatch, n, distinct):
+    # every module that calls the two routines by name sees the spy; a call
+    # is keyed by what the result depends on: size, signature and tables
+    seen = {"all_subuniverses": collections.Counter(), "congruence_lattice": collections.Counter()}
+
+    def spy(name, fn):
+        def counted(alg, *args, **kwargs):
+            tables = tuple(alg.tables[sym] for sym in alg.signature.names())
+            seen[name][(alg.size, alg.signature, tables)] += 1
+            return fn(alg, *args, **kwargs)
+
+        return counted
+
+    for name, home in (("all_subuniverses", core), ("congruence_lattice", congruences)):
+        original = getattr(home, name)
+        counted = spy(name, original)
+        for mod in (core, congruences, analysis, catalog, claims):
+            if mod.__dict__.get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert all(r.status == "pass" for r in run_all(n=n))
+    for name, keys in seen.items():
+        assert set(keys.values()) == {1}, name
+    if distinct is not None:
+        assert {name: len(keys) for name, keys in seen.items()} == distinct
 
 
 @pytest.mark.parametrize("claim_id", ["S3.FSI-BN", "S3.AMALG"])

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import pickle
 import re
@@ -51,8 +52,8 @@ HSIG = HEYTING_SIGNATURE
 
 
 @st.composite
-def small_algebras(draw, max_size=4):
-    size = draw(st.integers(1, max_size))
+def small_algebras(draw, max_size=4, min_size=1):
+    size = draw(st.integers(min_size, max_size))
     elem = st.integers(0, size - 1)
     tables = {
         "f": tuple(draw(st.lists(elem, min_size=size * size, max_size=size * size))),
@@ -62,7 +63,14 @@ def small_algebras(draw, max_size=4):
     return make_algebra("rand", SIG, size, tables)
 
 
+# the strategies are built once per key and shared by every draw: hypothesis
+# validates a strategy on first use, which costs more than the draw itself
 def terms(variables, depth):
+    return _terms(tuple(variables), depth)
+
+
+@functools.lru_cache(maxsize=None)
+def _terms(variables, depth):
     leaf = st.just(Apply("c", ()))
     if variables:
         leaf = st.one_of(st.builds(Variable, st.sampled_from(variables)), leaf)
@@ -76,23 +84,27 @@ def terms(variables, depth):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _pp_atoms(max_var, free):
+    t = terms(range(max_var), 4)
+    # some right-hand sides are over free variables only: ground once they are assigned
+    return st.builds(Eq, t, st.one_of(t, terms(free, 2)))
+
+
 @st.composite
 def pp_formulas(draw, max_var=4):
     n_bound = draw(st.integers(0, max_var))
     bound = draw(
         st.lists(st.integers(0, max_var - 1), min_size=n_bound, max_size=n_bound, unique=True)
     )
-    t = terms(range(max_var), 4)
-    # some right-hand sides are over free variables only: ground once they are assigned
-    ground = terms([v for v in range(max_var) if v not in bound], 2)
-    atoms = st.builds(Eq, t, st.one_of(t, ground))
+    atoms = _pp_atoms(max_var, tuple(v for v in range(max_var) if v not in bound))
     body = draw(st.lists(atoms, min_size=1, max_size=4))
     f = body[0] if len(body) == 1 else And(tuple(body))
     return Exists(tuple(bound), f) if bound else f
 
 
-@st.composite
-def any_formulas(draw, max_var=3, depth=2):
+@functools.lru_cache(maxsize=None)
+def any_formulas(max_var=3, depth=2):
     t = terms(range(max_var), 3)
     atom = st.builds(Eq, t, t)
 
@@ -110,7 +122,7 @@ def any_formulas(draw, max_var=3, depth=2):
             ),
         )
 
-    return draw(st.recursive(atom, extend, max_leaves=depth * 3))
+    return st.recursive(atom, extend, max_leaves=depth * 3)
 
 
 # --- variable bookkeeping ---------------------------------------------------
@@ -296,6 +308,45 @@ def test_decomposed_agrees_with_reference_on_everything(alg, f, data):
         v: data.draw(st.integers(0, alg.size - 1)) for v in range(3)
     }
     assert_decomposed_agrees_at_every_limit(alg, f, env)
+
+
+def _spread(draw, leaves):
+    """A random term over f and g that holds each leaf once, in order."""
+    if len(leaves) == 1:
+        t = leaves[0]
+    else:
+        cut = draw(st.integers(1, len(leaves) - 1))
+        t = Apply("f", (_spread(draw, leaves[:cut]), _spread(draw, leaves[cut:])))
+    return Apply("g", (t,)) if draw(st.booleans()) else t
+
+
+@st.composite
+def definition_formulas(draw):
+    """exists 1 2 3 4 over a definition v = t, t over 2 or 3 other bound
+    variables, an equation over 3 or 4 bound variables, and at most one
+    atom of pp_formulas, in any order; variable 0 is free."""
+    bound = (1, 2, 3, 4)
+    extra = st.lists(st.sampled_from((Variable(0), Apply("c", ()))), max_size=1)
+    v = draw(st.sampled_from(bound))
+    others = st.sampled_from([u for u in bound if u != v])
+    uses = draw(st.lists(others, min_size=2, max_size=3, unique=True))
+    leaves = draw(st.permutations([Variable(u) for u in uses] + draw(extra)))
+    definition = Eq(Variable(v), _spread(draw, leaves))
+    spread = draw(st.lists(st.sampled_from(bound), min_size=3, max_size=4, unique=True))
+    leaves = [Variable(u) for u in spread] + draw(extra)
+    cut = draw(st.integers(1, len(leaves) - 1))
+    equation = Eq(_spread(draw, leaves[:cut]), _spread(draw, leaves[cut:]))
+    body = [definition, equation] + draw(st.lists(_pp_atoms(5, (0,)), max_size=1))
+    return Exists(bound, And(tuple(draw(st.permutations(body)))))
+
+
+# the big-grid paths at small limits: a definition over two or more bound
+# variables is an image cut at limit 1 (and over three at 16), and an
+# equation over three bound variables makes a step over 16 cells
+@given(small_algebras(min_size=3), definition_formulas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_decomposed_agrees_with_reference_on_definitions(alg, f, data):
+    assert_decomposed_agrees_at_every_limit(alg, f, {0: data.draw(st.integers(0, alg.size - 1))})
 
 
 def test_decomposed_handles_vacuous_bound_variables():
