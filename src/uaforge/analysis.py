@@ -246,7 +246,7 @@ class HSClassification(NamedTuple):
     fsi_classes = si_classes
 
 
-def hs_classify(A: FiniteAlgebra, subuniverses=None, lattice=None) -> HSClassification:
+def hs_classify(A: FiniteAlgebra, subalgebras=None, lattice=None) -> HSClassification:
     """Classify every quotient of every subalgebra of A up to isomorphism.
 
     Only the first subalgebra of each isomorphism type, in all_subuniverses
@@ -257,16 +257,16 @@ def hs_classify(A: FiniteAlgebra, subuniverses=None, lattice=None) -> HSClassifi
     to the lattice interval above theta, so no quotient lattices are
     computed.  On a finite algebra SI is also FSI.
 
-    subuniverses and lattice stand in for all_subuniverses and
-    congruence_lattice, so that a caller can hand in a memo of them.
+    subalgebras(A) gives A's subalgebras in all_subuniverses order, and
+    lattice stands in for congruence_lattice, so that a caller can hand in
+    a memo of both; by default the subalgebras are built here.
     """
-    subuniverses = subuniverses or all_subuniverses
     lattice = lattice or congruence_lattice
+    subalgs = subalgebras(A) if subalgebras else [subalgebra(A, s)[0] for s in all_subuniverses(A)]
     subs: list[FiniteAlgebra] = []
     reps: list[FiniteAlgebra] = []
     si: list[bool] = []
-    for s in subuniverses(A):
-        sub, _embed = subalgebra(A, s)
+    for sub in subalgs:
         if any(is_isomorphic(first, sub) for first in subs):
             continue
         subs.append(sub)

@@ -55,53 +55,52 @@ class ClaimResult(NamedTuple):
 
 
 class Workspace:
-    """Per-run cache of what several claims derive from the same structures;
-    the catalog memoizes the algebras themselves, so each lf_k table of Bn is
-    solved once.  The HS classification of Bn gives S3.FSI-BN and S3.AMALG
-    the first subalgebra of each isomorphism type.
+    """Per-run memo of the structure facts several claims read; the catalog
+    memoizes the algebras themselves, so each lf_k table of Bn is solved once.
 
-    An algebra's subuniverse list and congruence lattice are held by its
-    size, signature and tables in signature order, since they depend on
-    nothing else: a subalgebra built by two claims, or the Heyting reduct of
-    a Bn subalgebra and the An subalgebra with the same tables, share one
-    entry.  The entries live as long as the workspace, one run."""
+    Each fact of an algebra (its subuniverse list, its subalgebras in that
+    order, its congruence lattice, its automorphisms, its HS classification)
+    is held by its kind and the algebra's size, signature and tables in
+    signature order, since it depends on nothing else: a subalgebra built by
+    two claims, or the Heyting reduct of a Bn subalgebra and the An
+    subalgebra with the same tables, share one entry.  A held subalgebra is
+    named after the first algebra asked with those tables; names appear only
+    in the failure evidence of S3.CON-PRES and S3.AUT-RIGID, which ask only
+    about Bn.  The entries live as long as the workspace, one run."""
 
     def __init__(self):
         self._store: dict = {}
 
-    def get(self, key, thunk):
+    def _memo(self, key, thunk):
         if key not in self._store:
             self._store[key] = thunk()
         return self._store[key]
 
-    def _by_tables(self, kind, fn, alg):
-        tables = tuple(tuple(alg.tables[sym]) for sym in alg.signature.names())
-        return self.get((kind, alg.size, alg.signature, tables), lambda: fn(alg))
+    def _fact(self, kind, fn, alg):
+        tables = tuple(alg.tables[sym] for sym in alg.signature.names())
+        return self._memo((kind, alg.size, alg.signature, tables), lambda: fn(alg))
 
     def subuniverses(self, alg):
-        return self._by_tables("subs", all_subuniverses, alg)
+        return self._fact("subs", all_subuniverses, alg)
+
+    def subalgebras(self, alg):
+        """The subalgebras of alg, index-aligned with subuniverses(alg)."""
+        return self._fact("subalgs", lambda a: [subalgebra(a, s)[0] for s in self.subuniverses(a)], alg)
 
     def lattice(self, alg):
-        return self._by_tables("con", congruence_lattice, alg)
+        return self._fact("con", congruence_lattice, alg)
+
+    def automorphisms(self, alg):
+        return self._fact("aut", automorphisms, alg)
+
+    def hs(self, alg):
+        return self._fact("hs", lambda a: hs_classify(a, self.subalgebras, self.lattice), alg)
 
     def an(self, n):
         return catalog.build(f"An?n={n}")
 
     def bn(self, n):
         return catalog.build(f"Bn?n={n}")
-
-    def aut_bn(self, n):
-        return self.get(("aut-bn", n), lambda: automorphisms(self.bn(n)))
-
-    def bn_subalgebras(self, n):
-        def build():
-            big = self.bn(n)
-            return [(s, subalgebra(big, s)[0]) for s in self.subuniverses(big)]
-
-        return self.get(("bn-subs", n), build)
-
-    def hs_bn(self, n):
-        return self.get(("hs-bn", n), lambda: hs_classify(self.bn(n), self.subuniverses, self.lattice))
 
     def sec2_phi_tables(self):
         """The partial function sec2.phi induces on sec2.A, sec2.A-minus-a4 and
@@ -112,7 +111,7 @@ class Workspace:
             ids = ("sec2.A", "sec2.A-minus-a4", "sec2.B")
             return {c: induced_partial_function(catalog.build(c), phi, 1) for c in ids}
 
-        return self.get("sec2-phi", build)
+        return self._memo("sec2-phi", build)
 
 
 _REGISTRY: dict[str, tuple[str, object]] = {}
@@ -211,7 +210,7 @@ def _chain_si(ws, n):
 @_claim("S2.SI-LIST", "the SI quotients of subalgebras of sec2.A are sec2.A, sec2.A-minus-a4, sec2.B")
 def _si_list(ws, n):
     A = catalog.build("sec2.A")
-    hs = hs_classify(A, ws.subuniverses, ws.lattice)
+    hs = ws.hs(A)
     reps = [hs.representatives[c] for c in hs.si_classes()]
     targets = [A, catalog.build("sec2.A-minus-a4"), catalog.build("sec2.B")]
     ok = len(reps) == 3 and all(
@@ -326,8 +325,7 @@ def _eq18(ws, n):
             return False, f"(6) fails at {a}"
     # (4) and (5) quantify over subalgebras
     subs = ws.subuniverses(An)
-    for s in subs:
-        sub, _ = subalgebra(An, s)
+    for s, sub in zip(subs, ws.subalgebras(An)):
         ats = catalog.atoms_of(sub)
         top = sub.const("one")
         for a in range(sub.size):
@@ -387,7 +385,7 @@ def _fkn(ws, n):
 
 @_claim("S3.FSI-AN", "the FSI quotients of subalgebras of An are A0..An, one class each")
 def _fsi_an(ws, n):
-    hs = hs_classify(ws.an(n), ws.subuniverses, ws.lattice)
+    hs = ws.hs(ws.an(n))
     reps = [hs.representatives[c] for c in hs.fsi_classes()]
     if len(reps) != n + 1:
         return False, f"{len(reps)} FSI classes, expected {n + 1}"
@@ -401,7 +399,7 @@ def _fsi_an(ws, n):
 @_claim("S3.CON-PRES", "every subalgebra of Bn has the same congruences as its Heyting reduct")
 def _con_pres(ws, n):
     count = 0
-    for _s, sub in ws.bn_subalgebras(n):
+    for sub in ws.subalgebras(ws.bn(n)):
         full = set(ws.lattice(sub))
         red = set(ws.lattice(catalog.heyting_reduct(sub)))
         if full != red:
@@ -412,7 +410,7 @@ def _con_pres(ws, n):
 
 @_claim("S3.FSI-BN", "the FSI quotients of subalgebras of Bn are exactly its subalgebras")
 def _fsi_bn(ws, n):
-    hs = ws.hs_bn(n)
+    hs = ws.hs(ws.bn(n))
     fsi_reps = [hs.representatives[c] for c in hs.fsi_classes()]
     sub_reps = hs.subalgebras
     if len(fsi_reps) != len(sub_reps):
@@ -436,9 +434,9 @@ def _aut_sigma(ws, n):
             return False, f"permutation {sigma} did not induce an automorphism"
         maps_an.add(m1)
         maps_bn.add(m2)
-    aut = ws.aut_bn(n)
+    aut = ws.automorphisms(Bn)
     ok = (
-        len(maps_an) == len(maps_bn) == len(aut) == len(automorphisms(An))
+        len(maps_an) == len(maps_bn) == len(aut) == len(ws.automorphisms(An))
         and maps_bn == set(aut)
         and is_group_under_composition(aut)
     )
@@ -448,10 +446,10 @@ def _aut_sigma(ws, n):
 @_claim("S3.AUT-FIX", "any element outside a subalgebra (except e) is moved by an automorphism fixing the subalgebra")
 def _aut_fix(ws, n):
     Bn = ws.bn(n)
-    aut = ws.aut_bn(n)
+    aut = ws.automorphisms(Bn)
     e = Bn.index_of("e")
     checked = 0
-    for s, _sub in ws.bn_subalgebras(n):
+    for s in ws.subuniverses(Bn):
         stabilizer = [h for h in aut if all(h[a] == a for a in s)]
         moved = {b for h in stabilizer for b in range(Bn.size) if h[b] != b}
         outside = set(range(Bn.size)) - set(s) - {e}
@@ -465,9 +463,9 @@ def _aut_fix(ws, n):
 @_claim("S3.AUT-RIGID", "any two embeddings of a subalgebra into Bn differ by an automorphism of Bn")
 def _aut_rigid(ws, n):
     Bn = ws.bn(n)
-    aut = ws.aut_bn(n)
+    aut = ws.automorphisms(Bn)
     pairs = 0
-    for _s, sub in ws.bn_subalgebras(n):
+    for sub in ws.subalgebras(Bn):
         embs = embeddings(sub, Bn)
         # aut must be the whole group (S3.AUT-SIGMA checks it): then two
         # embeddings differ by an automorphism exactly when both lie in the
@@ -481,7 +479,8 @@ def _aut_rigid(ws, n):
 
 @_claim("S3.AMALG", "every span of embeddings among the subalgebra classes of Bn (plus trivial) amalgamates")
 def _amalg(ws, n):
-    members = list(ws.hs_bn(n).subalgebras) + [catalog.trivial_algebra(ws.bn(n).signature)]
+    Bn = ws.bn(n)
+    members = list(ws.hs(Bn).subalgebras) + [catalog.trivial_algebra(Bn.signature)]
     ok, reports = check_amalgamation(members)
     return ok, f"{len(reports)} spans amalgamated inside the member list"
 
@@ -497,9 +496,10 @@ def _noneq(ws, n):
     Bn = ws.bn(n)
     atom = catalog.atoms_of(Bn)[0]
     sg = sg_closure(Bn, [atom])
-    C, embed = subalgebra(Bn, sg)
+    # Sg(atom) is a subuniverse, so its subalgebra is held; sg is its embedding
+    C = ws.subalgebras(Bn)[ws.subuniverses(Bn).index(sg)]
     zero, one = C.const("zero"), C.const("one")
-    a = list(embed).index(atom)
+    a = sg.index(atom)
     na = C.op("imp", a, zero)
     e = C.index_of("e")
     if set(range(C.size)) != {zero, a, na, e, one}:

@@ -437,8 +437,6 @@ def quotient(alg: FiniteAlgebra, part: Partition, name=None) -> FiniteAlgebra:
     Raises NotCongruenceError when some operation is not well defined on the
     blocks, reporting the offending operation.
     """
-    if part.size != alg.size:
-        raise AlgebraError("partition size does not match the algebra")
     blocks = part.blocks()
     cls = np.asarray(quotient_map(alg, part))
     tables = {}
@@ -461,6 +459,8 @@ def quotient(alg: FiniteAlgebra, part: Partition, name=None) -> FiniteAlgebra:
 
 def quotient_map(alg: FiniteAlgebra, part: Partition) -> tuple[int, ...]:
     """The canonical surjection onto quotient(alg, part), as an index map."""
+    if part.size != alg.size:
+        raise AlgebraError("partition size does not match the algebra")
     blocks = part.blocks()
     block_index = {b[0]: i for i, b in enumerate(blocks)}
     return tuple(block_index[part.rep[x]] for x in range(alg.size))

@@ -120,32 +120,29 @@ def _term_vars_ordered(t: Term, out: list[int]) -> None:
     out.extend((t.index,) if isinstance(t, Variable) else t._walk)
 
 
+def _subformulas(f: Formula) -> tuple:
+    """The immediate subformulas of f, in order; an equation has none."""
+    if isinstance(f, Eq):
+        return ()
+    if isinstance(f, (And, Or)):
+        return f.parts
+    if isinstance(f, Implies):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Exists, Forall)):
+        return (f.body,)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def free_variables(f: Formula) -> frozenset[int]:
     if isinstance(f, Eq):
         return term_variables(f.lhs) | term_variables(f.rhs)
-    if isinstance(f, (And, Or)):
-        out: frozenset[int] = frozenset()
-        for p in f.parts:
-            out |= free_variables(p)
-        return out
-    if isinstance(f, Implies):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - frozenset(f.vars)
-    raise TypeError(f"not a formula: {f!r}")
+    out = frozenset().union(*map(free_variables, _subformulas(f)))
+    return out - frozenset(f.vars) if isinstance(f, (Exists, Forall)) else out
 
 
 def is_pp(f: Formula) -> bool:
     """Positive primitive: equations combined with conjunction and exists only."""
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, And):
-        return all(is_pp(p) for p in f.parts)
-    if isinstance(f, Exists):
-        return is_pp(f.body)
-    return False
+    return isinstance(f, (Eq, And, Exists)) and all(map(is_pp, _subformulas(f)))
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -481,13 +478,8 @@ def _reference_cost(size: int, f: Formula) -> int:
     quantifier multiplies its body by the number of assignments it tries."""
     if isinstance(f, Eq):
         return 1
-    if isinstance(f, (And, Or)):
-        return sum(_reference_cost(size, p) for p in f.parts)
-    if isinstance(f, Implies):
-        return _reference_cost(size, f.left) + _reference_cost(size, f.right)
-    if isinstance(f, Not):
-        return _reference_cost(size, f.body)
-    return size ** len(f.vars) * _reference_cost(size, f.body)
+    cost = sum(_reference_cost(size, p) for p in _subformulas(f))
+    return size ** len(f.vars) * cost if isinstance(f, (Exists, Forall)) else cost
 
 
 def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray:
@@ -858,18 +850,12 @@ def _renumber(f: Formula, final: dict[int, int]) -> Formula:
 
     if isinstance(f, Eq):
         return Eq(term(f.lhs), term(f.rhs))
-    if isinstance(f, And):
-        return And(tuple(_renumber(p, final) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_renumber(p, final) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_renumber(f.left, final), _renumber(f.right, final))
-    if isinstance(f, Not):
-        return Not(_renumber(f.body, final))
+    parts = tuple(_renumber(p, final) for p in _subformulas(f))
+    if isinstance(f, (And, Or)):
+        return type(f)(parts)
     if isinstance(f, (Exists, Forall)):
-        cls = type(f)
-        return cls(tuple(final[v] for v in f.vars), _renumber(f.body, final))
-    raise TypeError(f"not a formula: {f!r}")
+        return type(f)(tuple(final[v] for v in f.vars), *parts)
+    return type(f)(*parts)
 
 
 def parse_formula_named(src: str, sig: Signature) -> tuple[Formula, dict[str, int]]:

@@ -313,14 +313,16 @@ def test_equal_tables_are_isomorphic_without_a_search():
 def test_hs_classify_and_the_epic_survey_take_their_routines_from_the_caller():
     b3 = catalog.build("Bn?n=3")
     subs = mock.Mock(wraps=all_subuniverses)
+    subalgs = mock.Mock(wraps=lambda alg: [subalgebra(alg, s)[0] for s in all_subuniverses(alg)])
     lattice = mock.Mock(wraps=congruence_lattice)
     with mock.patch.object(analysis, "all_subuniverses") as own_subs, mock.patch.object(
-        analysis, "congruence_lattice"
-    ) as own_lattice:
-        hs = hs_classify(b3, subs, lattice)
+        analysis, "subalgebra"
+    ) as own_subalg, mock.patch.object(analysis, "congruence_lattice") as own_lattice:
+        hs = hs_classify(b3, subalgs, lattice)
         ok, witnesses = check_epic_subalgebras(b3, subs)
-    assert own_subs.call_count == own_lattice.call_count == 0
-    assert [c.args[0] for c in subs.call_args_list] == [b3, b3]
+    assert own_subs.call_count == own_subalg.call_count == own_lattice.call_count == 0
+    assert [c.args[0] for c in subalgs.call_args_list] == [b3]
+    assert [c.args[0] for c in subs.call_args_list] == [b3]
     assert [c.args[0] for c in lattice.call_args_list] == list(hs.subalgebras)
     assert hs == hs_classify(b3)
     assert (ok, witnesses) == check_epic_subalgebras(b3)

@@ -180,23 +180,44 @@ def test_each_table_and_classification_is_computed_once_per_run(monkeypatch):
     assert [c.args[0].name for c in hs.call_args_list] == ["sec2.A", "A3", "B3"]
 
 
+_FACT_HOMES = {
+    "all_subuniverses": core,
+    "congruence_lattice": congruences,
+    "subalgebra": core,
+    "automorphisms": analysis,
+    "hs_classify": analysis,
+}
+
+
 @pytest.mark.parametrize(
-    "n, distinct", [(3, {"all_subuniverses": 3, "congruence_lattice": 11}), (4, None)]
+    "n, distinct",
+    [
+        # sec2.A, An and Bn: their subuniverses, subalgebras and HS classes;
+        # the automorphisms of An and Bn
+        (3, dict(all_subuniverses=3, congruence_lattice=11, subalgebra=14, automorphisms=2, hs_classify=3)),
+        (4, dict(all_subuniverses=3, congruence_lattice=16, subalgebra=34, automorphisms=2, hs_classify=3)),
+    ],
 )
 def test_each_structure_fact_is_computed_once_per_tables_per_run(monkeypatch, n, distinct):
-    # every module that calls the two routines by name sees the spy; a call
-    # is keyed by what the result depends on: size, signature and tables
-    seen = {"all_subuniverses": collections.Counter(), "congruence_lattice": collections.Counter()}
+    # a first run builds every catalog object the run reads: the automorphisms
+    # pp_expand asks for and the subalgebras the sec2 builders take are
+    # catalog work, memoized for the process
+    run_all(n=n)
+    # every module that calls a routine by name sees the spy; a call is keyed
+    # by what the result depends on: size, signature and tables, plus the
+    # subuniverse for a subalgebra
+    seen = {name: collections.Counter() for name in _FACT_HOMES}
 
     def spy(name, fn):
         def counted(alg, *args, **kwargs):
             tables = tuple(alg.tables[sym] for sym in alg.signature.names())
-            seen[name][(alg.size, alg.signature, tables)] += 1
+            extra = args[:1] if name == "subalgebra" else ()
+            seen[name][(alg.size, alg.signature, tables, extra)] += 1
             return fn(alg, *args, **kwargs)
 
         return counted
 
-    for name, home in (("all_subuniverses", core), ("congruence_lattice", congruences)):
+    for name, home in _FACT_HOMES.items():
         original = getattr(home, name)
         counted = spy(name, original)
         for mod in (core, congruences, analysis, catalog, claims):
@@ -205,8 +226,7 @@ def test_each_structure_fact_is_computed_once_per_tables_per_run(monkeypatch, n,
     assert all(r.status == "pass" for r in run_all(n=n))
     for name, keys in seen.items():
         assert set(keys.values()) == {1}, name
-    if distinct is not None:
-        assert {name: len(keys) for name, keys in seen.items()} == distinct
+    assert {name: len(keys) for name, keys in seen.items()} == distinct
 
 
 @pytest.mark.parametrize("claim_id", ["S3.FSI-BN", "S3.AMALG"])
@@ -271,10 +291,11 @@ def test_phi_claims_catch_a_wrong_table(monkeypatch):
 def aut_fix_by_elements(ws, n):
     """S3.AUT-FIX by definition: one search of the automorphisms per
     (subalgebra, element) instance."""
-    Bn, aut = ws.bn(n), ws.aut_bn(n)
+    Bn = ws.bn(n)
+    aut = ws.automorphisms(Bn)
     e = Bn.index_of("e")
     checked = 0
-    for s, _sub in ws.bn_subalgebras(n):
+    for s in ws.subuniverses(Bn):
         for b in range(Bn.size):
             if b in s or b == e:
                 continue
@@ -287,9 +308,10 @@ def aut_fix_by_elements(ws, n):
 def aut_rigid_by_pairs(ws, n):
     """S3.AUT-RIGID by definition: every pair of embeddings against every
     automorphism."""
-    Bn, aut = ws.bn(n), ws.aut_bn(n)
+    Bn = ws.bn(n)
+    aut = ws.automorphisms(Bn)
     pairs = 0
-    for _s, sub in ws.bn_subalgebras(n):
+    for sub in ws.subalgebras(Bn):
         embs = embeddings(sub, Bn)
         for g in embs:
             for h in embs:
@@ -317,7 +339,7 @@ def test_aut_claims_fail_like_their_definitions_on_the_trivial_group(monkeypatch
     # two distinct embeddings
     ws = Workspace()
     size = ws.bn(3).size
-    monkeypatch.setattr(Workspace, "aut_bn", lambda self, n: HomSet((tuple(range(size)),)))
+    monkeypatch.setattr(Workspace, "automorphisms", lambda self, alg: HomSet((tuple(range(size)),)))
     fix = claim_matches_definition("S3.AUT-FIX", aut_fix_by_elements, 3, ws)
     rigid = claim_matches_definition("S3.AUT-RIGID", aut_rigid_by_pairs, 3, ws)
     assert fix.status == rigid.status == "fail"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uaforge import catalog
 from uaforge.core import (
     AlgebraError,
     ArityError,
@@ -124,6 +125,19 @@ def _point():
             AlgebraError,
             "partition size does not match the algebra",
             id="quotient-size",
+        ),
+        # the 6-element sec2.B: more blocks than elements, and fewer
+        pytest.param(
+            lambda: quotient_map(catalog.build("sec2.B"), Partition.identity(8)),
+            AlgebraError,
+            "partition size does not match the algebra",
+            id="quotient-map-larger",
+        ),
+        pytest.param(
+            lambda: quotient_map(catalog.build("sec2.B"), Partition.identity(5)),
+            AlgebraError,
+            "partition size does not match the algebra",
+            id="quotient-map-smaller",
         ),
         pytest.param(
             lambda: loads_algebra('{"name": "x", "size": 1, "operations": [], "elements": [0]}'),
