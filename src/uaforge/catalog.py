@@ -43,9 +43,9 @@ from .logic import (
     Exists,
     Formula,
     TotalityError,
-    induced_partial_function,
     is_pp,
     parse_formula,
+    _function_table,
 )
 from .partitions import Partition
 
@@ -308,12 +308,17 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
 
     ops is an iterable of (symbol, formula, arity) with the formula's
     designated variables 0..arity (output last).  Every formula must define a
-    total function; a missing argument tuple raises TotalityError.  The
-    automorphism group of alg, from the hom search, goes to
-    induced_partial_function, which solves one argument tuple per orbit; the
-    tables are those of the plain per-tuple solve.  The hom search's
-    SizeGuardError, for alg over SIZE_GUARD elements among others, comes
-    before any solve.
+    total function; a missing argument tuple raises TotalityError.  The hom
+    search's SizeGuardError, for alg over SIZE_GUARD elements among others,
+    comes before any solve.
+
+    The relation a formula defines is invariant under every automorphism g of
+    alg, so the outputs of g(a) are g(outputs(a)).  Each solve is carried to
+    the orbit of its tuple under the automorphism group, whose maps homs has
+    checked.  The group is complete, so the lexicographically first tuple of
+    each orbit is solved and no other; a tuple with two outputs has them on
+    its whole orbit, so the tables and errors equal those of the plain
+    per-tuple solve of induced_partial_function.
     """
     group = automorphisms(alg)
     new_syms = list(alg.signature.symbols)
@@ -321,7 +326,7 @@ def pp_expand(alg: FiniteAlgebra, ops, name=None) -> FiniteAlgebra:
     for symbol, formula, arity in ops:
         if not is_pp(formula):
             raise AlgebraError(f"{symbol!r} is not defined by a pp formula")
-        values = induced_partial_function(alg, formula, arity, automorphisms=group)
+        values = _function_table(alg, formula, arity, None, group)
         try:
             tables[symbol] = tuple(values[args] for args in product(range(alg.size), repeat=arity))
         except KeyError as exc:  # the first argument tuple without an output

@@ -335,7 +335,7 @@ def _eq18(ws, n):
                     if lattice_leq(sub, p, a):
                         join = sub.op("join", join, p)
                 if join != a:
-                    return False, f"(4) fails at {sub.element_name(a)} in {_names(sub, s)}"
+                    return False, f"(4) fails at {sub.element_name(a)} in {_names(An, s)}"
             for b in ats:
                 below_a = lattice_leq(sub, b, a)
                 below_na = lattice_leq(sub, b, sub.op("imp", a, sub.const("zero")))

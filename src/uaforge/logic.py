@@ -67,7 +67,6 @@ from .core import (
     Variable,
     eval_term,
     term_variables,
-    _commuting,
 )
 
 # ---------------------------------------------------------------------------
@@ -563,9 +562,7 @@ class TotalityError(AlgebraError):
         self.arguments = arguments
 
 
-def induced_partial_function(
-    alg: FiniteAlgebra, f: Formula, arity: int, var_order=None, automorphisms=()
-) -> dict:
+def induced_partial_function(alg: FiniteAlgebra, f: Formula, arity: int, var_order=None) -> dict:
     """Partial function defined by f(x1..xn, y) with y the last variable, as
     a dict from each argument tuple that has an output to that output.
 
@@ -575,18 +572,15 @@ def induced_partial_function(
     Raises FunctionalityError on the first argument tuple (in lexicographic
     order) with two distinct outputs, naming its two smallest outputs, and
     SizeGuardError when there are over MAX_UNIVERSE argument tuples.
-
-    automorphisms are permutations of the universe, each checked to be an
-    automorphism of alg before any solve (AlgebraError if one is not).  The
-    relation f defines is invariant under every automorphism g, so the
-    outputs of g(a) are g(outputs(a)): each solve also gives the outputs of
-    g(a) for every g given, and a tuple that an earlier solve reached is not
-    solved.  Any set of automorphisms is sound, closed or not: a tuple with
-    two outputs is reached only from another such tuple, so the first of
-    them in lexicographic order is solved, and the result and the errors are
-    those of the plain solve.  Given the whole group, one tuple per orbit is
-    solved.
     """
+    return _function_table(alg, f, arity, var_order, [tuple(range(alg.size))])
+
+
+def _function_table(alg, f, arity, var_order, group) -> dict:
+    """induced_partial_function with each solve's outputs carried to the
+    images of its tuple under every map in group, which must hold the
+    identity and automorphisms of alg only; a tuple that an earlier solve
+    reached is not solved."""
     if arity < 0:
         raise ArityError("arity must be non-negative")
     # bound the arity first: size**arity of a huge arity is itself too big to form
@@ -600,16 +594,7 @@ def induced_partial_function(
     # a repeated variable would be bound to two values at once
     if len(set(var_order)) != len(var_order):
         raise ArityError(f"var_order repeats a variable: {var_order}")
-    perms = [tuple(p) for p in automorphisms]
-    for p in perms:
-        if sorted(p) != list(range(alg.size)):
-            raise AlgebraError(f"{p} is not a permutation of the universe of {alg.name}")
-    ok = _commuting(alg, alg, np.array(perms, dtype=np.int64).reshape(len(perms), alg.size))
-    if not ok.all():
-        bad = perms[int(np.flatnonzero(~ok)[0])]
-        raise AlgebraError(f"{bad} is not an automorphism of {alg.name}")
     yvar = var_order[-1]
-    perms.append(tuple(range(alg.size)))  # the solved tuple itself
     carried = {}  # outputs of the tuples that earlier solves reached
     values = {}
     for args in product(range(alg.size), repeat=arity):
@@ -618,7 +603,7 @@ def induced_partial_function(
             outputs = tuple(np.flatnonzero(project_exists(alg, f, (yvar,), env)).tolist())
             if len(outputs) > 1:
                 raise FunctionalityError(alg.name, args, outputs[0], outputs[1])
-            carried.update({tuple(g[x] for x in args): tuple(g[y] for y in outputs) for g in perms})
+            carried.update({tuple(g[x] for x in args): tuple(g[y] for y in outputs) for g in group})
         outputs = carried.pop(args)
         if outputs:
             values[args] = outputs[0]

@@ -24,7 +24,7 @@ from uaforge.analysis import (
 )
 from uaforge.cli import main as cli_main
 from uaforge.congruences import congruence_lattice, monolith
-from uaforge.core import all_subuniverses, sg_closure
+from uaforge.core import SIZE_GUARD, all_subuniverses, sg_closure
 from uaforge.logic import (
     check_functional,
     eval_exists_decomposed,
@@ -32,6 +32,9 @@ from uaforge.logic import (
     induced_partial_function,
 )
 from uaforge.partitions import Partition
+
+# the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD
+FIRST_REFUSED_N = next(n for n in itertools.count() if 2**n + 1 > SIZE_GUARD)
 
 _ws = claims.Workspace()
 _CAP = None
@@ -217,7 +220,7 @@ def test_criterion_13_cli_gate():
         assert res.exit_code == 0, res.output
         assert "23/23 claims passed (n=3)" in res.output
         # the deep switch is wired: range-checked and runnable at n=4
-        guard = runner.invoke(cli_main, ["check", "--n", "5"])
+        guard = runner.invoke(cli_main, ["check", "--n", str(FIRST_REFUSED_N)])
         assert guard.exit_code == 2
         probe = runner.invoke(cli_main, ["check", "S3.HEYTING", "--deep"])
         assert probe.exit_code == 0, probe.output

@@ -3,8 +3,8 @@ from unittest import mock
 
 import pytest
 
-from uaforge import catalog, logic
-from uaforge.analysis import atoms_below
+from uaforge import analysis, catalog, core, logic
+from uaforge.analysis import atoms_below, automorphisms
 from uaforge.catalog import (
     HEYTING_SIGNATURE,
     atoms_of,
@@ -32,12 +32,16 @@ from uaforge.logic import (
     Eq,
     Or,
     Variable,
+    FunctionalityError,
     TotalityError,
     free_variables,
     induced_partial_function,
     is_pp,
     parse_formula,
 )
+
+# the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD
+FIRST_REFUSED_N = next(n for n in itertools.count() if 2**n + 1 > SIZE_GUARD)
 
 
 # --- the eight-element chain expansion ---------------------------------------
@@ -101,7 +105,7 @@ def test_An_shapes_and_names():
     assert build_An(1).size == 3
     assert build_An(2).size == 5
     with pytest.raises(SizeGuardError):
-        build_An(5)
+        build_An(FIRST_REFUSED_N)
     with pytest.raises(AlgebraError):
         build_An(-1)
 
@@ -183,17 +187,17 @@ def test_build_phi_shape():
 
 
 def test_build_phi_validation():
-    for k, n in ((0, 3), (3, 3), (1, 2), (-1, 3), (1, 5), (1, 30)):
+    for k, n in ((0, 3), (3, 3), (1, 2), (-1, 3), (1, FIRST_REFUSED_N), (1, 30)):
         with pytest.raises(AlgebraError):
             build_phi(k, n)
 
 
 def test_check_n_bounds():
-    for n in range(5):
+    for n in range(FIRST_REFUSED_N):
         check_n(n)
     with pytest.raises(AlgebraError):
         check_n(-1)
-    for n in (5, 20000, 10**11):  # the last would need gigabytes to form 2**n
+    for n in (FIRST_REFUSED_N, 20000, 10**11):  # the last would need gigabytes to form 2**n
         with pytest.raises(SizeGuardError, match="size guard"):
             check_n(n)
 
@@ -230,8 +234,8 @@ def test_Bn_expansion():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_Bn_orbit_build_equals_the_full_solve(n):
-    # induced_partial_function without automorphisms solves every argument:
-    # the oracle of the orbit build
+    # induced_partial_function solves every argument tuple: the oracle of the
+    # orbit build
     an, bn = build(f"An?n={n}"), build(f"Bn?n={n}")
     for k in range(1, n):
         values = induced_partial_function(an, build(f"phi?k={k}&n={n}")[0], 1)
@@ -245,6 +249,22 @@ def test_Bn_build_solves_once_per_orbit():
         with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
             catalog.build_Bn(n)
         assert solve.call_count == solves
+
+
+def test_Bn_build_checks_the_automorphism_group_once(monkeypatch):
+    # homs re-checks every map it finds; pp_expand solves with that group as is
+    an, checked = build("An?n=4"), []
+
+    def spy(A, B, maps):
+        checked.append((A.name, len(maps)))
+        return commuting(A, B, maps)
+
+    commuting = core._commuting
+    for mod in (core, analysis, logic, catalog):
+        if getattr(mod, "_commuting", None) is commuting:
+            monkeypatch.setattr(mod, "_commuting", spy)
+    catalog.build_Bn(4)
+    assert checked == [(an.name, 24)]
 
 
 def test_pp_expand_refuses_an_algebra_over_the_size_guard_before_any_solve():
@@ -267,6 +287,54 @@ def test_pp_expand_errors():
     bad = Or((Eq(Variable(0), Variable(1)), Eq(Variable(0), Variable(1))))
     with pytest.raises(AlgebraError):
         pp_expand(a3, [("h", bad, 1)])
+
+
+def test_pp_expand_functionality_error_is_that_of_the_plain_solve():
+    a3 = build("An?n=3")
+    # outputs above x: every x has two outputs from 0 on; outputs below x:
+    # the first non-functional x is the atom {0}, with outputs 0 and {0}
+    cases = {"exists z . join(x, z) = y": ((0,), 0, 1), "exists z . meet(x, z) = y": ((1,), 0, 1)}
+    for src, want in cases.items():
+        f = parse_formula(src, HEYTING_SIGNATURE)
+        errors = []
+        for expand in (lambda: induced_partial_function(a3, f, 1), lambda: pp_expand(a3, [("h", f, 1)])):
+            with pytest.raises(FunctionalityError) as exc:
+                expand()
+            errors.append((exc.value.arguments, exc.value.first, exc.value.second))
+        assert errors == [want] * 2
+
+
+def test_pp_expand_totality_error_names_the_first_tuple_without_output():
+    a3 = build("An?n=3")
+    f = parse_formula("imp(x, y) = z /\\ meet(x, y) = zero", HEYTING_SIGNATURE)  # partial
+    plain = induced_partial_function(a3, f, 2)
+    first = min(set(itertools.product(range(9), repeat=2)) - set(plain))
+    assert first == (1, 1)
+    with pytest.raises(TotalityError) as exc:
+        pp_expand(a3, [("h", f, 2)])
+    assert exc.value.arguments == first
+
+
+def test_pp_expand_solves_once_per_orbit_of_argument_tuples():
+    a3 = build("An?n=3")
+    auts = automorphisms(a3)
+    f = parse_formula("imp(x, y) = z", HEYTING_SIGNATURE)
+    with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
+        expanded = pp_expand(a3, [("h", f, 2)])
+    assert expanded.tables["h"] == a3.tables["imp"]
+    # one solve per orbit of pairs under the 6 atom permutations, not one per pair
+    pairs = itertools.product(range(9), repeat=2)
+    assert solve.call_count == len({min(tuple(g[v] for v in p) for g in auts) for p in pairs})
+
+
+def test_pp_expand_refuses_a_huge_arity_before_any_solve():
+    a3 = build("An?n=3")
+    f = parse_formula("imp(x, y) = z", HEYTING_SIGNATURE)
+    with mock.patch.object(logic, "project_exists", wraps=logic.project_exists) as solve:
+        for arity in (7, 10**9):  # 9^7 argument tuples, and an arity whose var_order is too big to form
+            with pytest.raises(SizeGuardError):
+                pp_expand(a3, [("h", f, arity)])
+    assert solve.call_count == 0
 
 
 # --- helpers and the resolver ---------------------------------------------------

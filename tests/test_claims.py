@@ -4,10 +4,10 @@ from unittest import mock
 
 import pytest
 
-from uaforge import analysis, catalog, claims, congruences, core
+from uaforge import analysis, catalog, claims, congruences, core, logic
 from uaforge.analysis import HomSet, embeddings, hs_classify
 from uaforge.core import AlgebraError
-from uaforge.logic import FunctionalityError, induced_partial_function
+from uaforge.logic import FunctionalityError
 from uaforge.claims import (
     Workspace,
     registered_ids,
@@ -167,12 +167,13 @@ def test_run_order_does_not_matter():
 
 def test_each_table_and_classification_is_computed_once_per_run(monkeypatch):
     # a fresh catalog memo, so the sec2.C and B3 builds are counted too: one
-    # solve of sec2.phi on sec2.A for sec2.C, lf1 and lf2 for B3, and the three
-    # sec2.phi tables that S2.PHI-FUNC and S2.PHI-TABLE share
+    # table of sec2.phi on sec2.A for sec2.C, lf1 and lf2 for B3, and the three
+    # sec2.phi tables that S2.PHI-FUNC and S2.PHI-TABLE share; every table is
+    # one run of the solve loop, orbit build or plain
     monkeypatch.setattr(catalog, "_memo", {})
-    spy = mock.Mock(wraps=induced_partial_function)
-    monkeypatch.setattr(catalog, "induced_partial_function", spy)
-    monkeypatch.setattr(claims, "induced_partial_function", spy)
+    spy = mock.Mock(wraps=logic._function_table)
+    monkeypatch.setattr(catalog, "_function_table", spy)
+    monkeypatch.setattr(logic, "_function_table", spy)
     with mock.patch.object(claims, "hs_classify", wraps=hs_classify) as hs:
         assert all(r.status == "pass" for r in run_all(n=3))
     assert spy.call_count == 6
@@ -243,6 +244,39 @@ def test_a_non_functional_phi_fails_phi_func_naming_the_arguments(monkeypatch):
     r = run_claim("S2.PHI-FUNC", workspace=Workspace())
     assert r.status == "fail"
     assert r.evidence.startswith("error: formula is not functional on 'sec2.A': arguments (0,)")
+
+
+@pytest.mark.parametrize(
+    "force, evidence",
+    [
+        # no atoms in a subalgebra: its e is no join of atoms
+        (lambda alg, ats: [], "(4) fails at e in {0,e,1}"),
+        # zero among the atoms: it is below both a and its negation
+        (lambda alg, ats: [alg.const("zero"), *ats], "(5) fails at atom 0"),
+    ],
+    ids=["fact4", "fact5"],
+)
+def test_eq18_fails_with_subalgebra_evidence(monkeypatch, force, evidence):
+    # the atom facts (4) and (5) fail on a subalgebra, whose elements the
+    # evidence names by An's names; the facts on A3 itself still hold
+    an, atoms_of = catalog.build("An?n=3"), catalog.atoms_of
+    monkeypatch.setattr(catalog, "atoms_of", lambda alg: atoms_of(alg) if alg is an else force(alg, atoms_of(alg)))
+    r = run_claim("S3.EQ1-8", workspace=Workspace())
+    assert (r.status, r.evidence) == ("fail", evidence)
+
+
+def test_con_pres_fails_naming_the_subalgebra(monkeypatch):
+    # a reduct with other congruences than the subalgebra: the trivial algebra
+    monkeypatch.setattr(catalog, "heyting_reduct", lambda alg: catalog.trivial_algebra(catalog.HEYTING_SIGNATURE))
+    r = run_claim("S3.CON-PRES", workspace=Workspace())
+    assert (r.status, r.evidence) == ("fail", "congruences differ on B3.sub(0,8)")
+
+
+def test_noneq_fails_naming_the_generated_universe(monkeypatch):
+    # an atom that generates the whole of B3
+    monkeypatch.setattr(claims, "sg_closure", lambda alg, gens: tuple(range(alg.size)))
+    r = run_claim("S3.NONEQ", workspace=Workspace())
+    assert (r.status, r.evidence) == ("fail", "generated universe is {0,{0},{1},{0,1},{2},{0,2},{1,2},e,1}")
 
 
 def test_section2_claims_ignore_n():

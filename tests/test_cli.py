@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from pathlib import Path
@@ -6,7 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 from uaforge.cli import main
-from uaforge.core import loads_algebra
+from uaforge.core import SIZE_GUARD, loads_algebra
+
+# the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD
+FIRST_REFUSED_N = next(n for n in itertools.count() if 2**n + 1 > SIZE_GUARD)
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +347,7 @@ def test_check_json(runner):
 
 
 def test_check_rejects_bad_requests(runner):
-    res = runner.invoke(main, ["check", "--n", "5"])
+    res = runner.invoke(main, ["check", "--n", str(FIRST_REFUSED_N)])
     assert res.exit_code == 2
     assert "size guard" in res.output
 
@@ -362,7 +366,7 @@ def test_check_rejects_bad_requests(runner):
     # both the --n value and the claim's own n are checked, and a huge n is
     # refused without a traceback
     for args in (
-        ["check", "--n", "5", "S3.HEYTING?n=3"],
+        ["check", "--n", str(FIRST_REFUSED_N), "S3.HEYTING?n=3"],
         ["check", "--n", "2", "S3.HEYTING?n=3"],
         ["check", "S3.HEYTING?n=2"],
         ["check", "S3.HEYTING?n=20000"],

@@ -22,6 +22,7 @@ from uaforge.congruences import (
     quotient_is_si,
 )
 from uaforge.core import (
+    SIZE_GUARD,
     Signature,
     SizeGuardError,
     all_subuniverses,
@@ -178,7 +179,7 @@ def test_congruence_lattice_without_translations():
     assert len(congruence_lattice(consts)) == 5  # Bell(3)
     # the kernel computes every pair at once, so it stays within the size guard
     with pytest.raises(SizeGuardError):
-        principal_congruence(make_algebra("big", Signature(()), 25, {}), 0, 1)
+        principal_congruence(make_algebra("big", Signature(()), SIZE_GUARD + 1, {}), 0, 1)
 
 
 def test_operation_free_lattices_refuse_fast():

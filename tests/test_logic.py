@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from uaforge import analysis, catalog, logic
 from uaforge.catalog import HEYTING_SIGNATURE
 from uaforge.core import (
-    AlgebraError,
     Apply,
     ArityError,
     Signature,
@@ -672,48 +671,6 @@ def test_induced_function_var_order():
             with pytest.raises(ArityError, match="repeats"):
                 induced_partial_function(a3, f, 2, var_order=order)
     assert solve.call_count == 0
-
-
-def test_induced_function_refuses_a_wrong_automorphism_before_any_solve():
-    # on A3 the atoms are 1, 2, 4 and the two-atom elements 3, 5, 6
-    a3 = catalog.build("An?n=3")
-    f = parse_formula("meet(x, y) = z", HSIG)
-    ident = list(range(9))
-    not_bijective = [0, 1, 1, 3, 4, 5, 6, 7, 8]
-    atom_for_pair = [0, 3, 2, 1, 4, 5, 6, 7, 8]  # {0} <-> {0,1}: meet({0}, {1}) is not kept
-    with mock.patch.object(logic, "project_exists", wraps=project_exists) as solve:
-        for bad in (not_bijective, ident[:8], atom_for_pair):
-            with pytest.raises(AlgebraError, match=re.escape(str(tuple(bad)))):
-                induced_partial_function(a3, f, 2, automorphisms=[ident, bad])
-    assert solve.call_count == 0
-
-
-def test_induced_function_errors_are_the_same_with_automorphisms():
-    a3 = catalog.build("An?n=3")
-    auts = analysis.automorphisms(a3).maps
-    # outputs below x: the first non-functional x is the atom {0}, with outputs 0 and {0}
-    for src in ("exists z . join(x, z) = y", "exists z . meet(x, z) = y"):
-        f = parse_formula(src, HSIG)
-        errors = []
-        for perms in ((), auts):
-            with pytest.raises(FunctionalityError) as exc:
-                induced_partial_function(a3, f, 1, automorphisms=perms)
-            errors.append((exc.value.arguments, exc.value.first, exc.value.second))
-        assert errors[0] == errors[1]
-    assert errors[1] == ((1,), 0, 1)
-
-
-def test_induced_function_with_automorphisms_equals_the_plain_solve():
-    a3 = catalog.build("An?n=3")
-    auts = analysis.automorphisms(a3).maps
-    f = parse_formula("imp(x, y) = z /\\ join(x, y) = one", HSIG)  # partial: x or y is 1
-    plain = induced_partial_function(a3, f, 2, var_order=(1, 0, 2))
-    pairs = list(itertools.product(range(9), repeat=2))
-    assert plain == {(y, x): a3.op("imp", x, y) for x, y in pairs if 8 in (x, y)}
-    with mock.patch.object(logic, "project_exists", wraps=project_exists) as solve:
-        assert induced_partial_function(a3, f, 2, var_order=(1, 0, 2), automorphisms=auts) == plain
-    # one solve per orbit of pairs under the 6 atom permutations, not one per pair
-    assert solve.call_count == len({min(tuple(g[v] for v in p) for g in auts) for p in pairs})
 
 
 def _scanned_function(alg, f, arity, decide):
