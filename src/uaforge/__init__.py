@@ -1,88 +1,3 @@
 """Finite universal-algebra workbench: tables, formulas, congruences, claims."""
 
-from .core import (
-    AlgebraError,
-    Apply,
-    ArityError,
-    FiniteAlgebra,
-    NotClosedError,
-    NotCongruenceError,
-    SIZE_GUARD,
-    Signature,
-    SizeGuardError,
-    Term,
-    UnassignedVariableError,
-    UnknownSymbolError,
-    Variable,
-    all_subuniverses,
-    algebra_from_dict,
-    algebra_to_dict,
-    direct_product,
-    dumps_algebra,
-    eval_term,
-    is_closed_subset,
-    load_algebra,
-    loads_algebra,
-    make_algebra,
-    quotient,
-    quotient_map,
-    reduct,
-    save_algebra,
-    sg_closure,
-    subalgebra,
-    term_variables,
-)
-from .partitions import Partition
-from .congruences import (
-    CongruenceLattice,
-    congruence_lattice,
-    is_congruence,
-    is_fsi,
-    is_si,
-    is_simple,
-    monolith,
-    principal_congruence,
-    quotient_is_fsi,
-    quotient_is_si,
-)
-from .logic import (
-    And,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    FunctionalityError,
-    Implies,
-    Not,
-    Or,
-    ParseError,
-    TotalityError,
-    check_functional,
-    eval_exists_decomposed,
-    eval_formula,
-    eval_term_batch,
-    format_formula,
-    format_term,
-    free_variables,
-    induced_partial_function,
-    is_pp,
-    parse_formula,
-    parse_formula_named,
-    project_exists,
-)
-from .analysis import (
-    HomSet,
-    atom_permutation_automorphism,
-    automorphisms,
-    check_amalgamation,
-    check_epic_subalgebras,
-    embeddings,
-    endomorphisms,
-    homs,
-    hs_classify,
-    is_homomorphism,
-    is_isomorphic,
-)
-from .claims import ClaimResult, run_all, run_claim
-
 __version__ = "0.1.0"

@@ -58,7 +58,8 @@ class HomSet(tuple):
     __slots__ = ()
 
     @property
-    def maps(self) -> tuple[tuple[int, ...], ...]:  # the set itself, for older callers
+    def maps(self) -> tuple[tuple[int, ...], ...]:
+        # the set itself; perfbench/workloads.py reads this name, so it stays
         return self
 
 
@@ -243,6 +244,7 @@ class HSClassification(NamedTuple):
     def si_classes(self) -> list[int]:
         return [cls for cls, si in enumerate(self.si) if si]
 
+    # SI = FSI on a finite algebra; perfbench/workloads.py reads this name, so it stays
     fsi_classes = si_classes
 
 
@@ -389,10 +391,6 @@ def atoms_of(alg: FiniteAlgebra) -> list[int]:
     strictly_below[bottom] = False
     np.fill_diagonal(strictly_below, False)
     return [a for a in np.flatnonzero(~strictly_below.any(axis=0)).tolist() if a != bottom]
-
-
-def atoms_below(alg: FiniteAlgebra, a: int) -> list[int]:
-    return [p for p in atoms_of(alg) if lattice_leq(alg, p, a)]
 
 
 def is_chain(alg: FiniteAlgebra) -> bool:

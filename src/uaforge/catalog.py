@@ -403,13 +403,6 @@ def parse_id(ident: str) -> tuple[str, dict[str, int]]:
     return base, params
 
 
-def catalog_ids() -> list[str]:
-    return sorted(_FIXED) + [
-        base + "?" + "&".join(f"{p}={p.upper()}" for p in names)
-        for base, (names, _) in _PARAMETERIZED.items()
-    ]
-
-
 def build(catalog_id: str):
     """Resolve a catalog id like "sec2.A", "An?n=3" or "phi?k=1&n=3"."""
     base, params = parse_id(catalog_id)

@@ -50,9 +50,6 @@ class ClaimResult(NamedTuple):
     evidence: str
     elapsed_ms: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class Workspace:
     """Per-run memo of the structure facts several claims read; the catalog
@@ -125,10 +122,6 @@ def _claim(claim_id: str, statement: str):
     return wrap
 
 
-def registered_ids() -> list[str]:
-    return list(_REGISTRY)
-
-
 def _names(alg, elems) -> str:
     return "{" + ",".join(alg.element_name(e) for e in elems) + "}"
 
@@ -171,7 +164,7 @@ def _theta_cong(ws, n):
 def _simple_a(ws, n):
     A = catalog.build("sec2.A")
     lat = ws.lattice(A)
-    return is_simple(A, lat), f"|Con(sec2.A)| = {len(lat)}"
+    return is_simple(lat), f"|Con(sec2.A)| = {len(lat)}"
 
 
 @_claim("S2.CON-A4", "nontrivial quotients of sec2.A-minus-a4 are itself and sec2.B only")
@@ -203,7 +196,7 @@ def _chain_si(ws, n):
     Am = catalog.build("sec2.A-minus-a4")
     lat = ws.lattice(Am)
     theta = catalog.build("sec2.theta")
-    ok = is_si(Am, lat) and monolith(lat) == theta and is_si(A, ws.lattice(A))
+    ok = is_si(lat) and monolith(lat) == theta and is_si(ws.lattice(A))
     return ok, "monolith of sec2.A-minus-a4 = Cg(a6,1); sec2.A is simple hence SI"
 
 
@@ -552,7 +545,7 @@ def run_all(n: int = 3, workspace: Workspace | None = None) -> list[ClaimResult]
 
 def report_dict(results) -> dict:
     return {
-        "claims": [r.to_dict() for r in results],
+        "claims": [r._asdict() for r in results],
         "summary": {
             "pass": sum(1 for r in results if r.status == "pass"),
             "fail": sum(1 for r in results if r.status != "pass"),

@@ -16,14 +16,16 @@ principal congruence keeps one pair (a, b) that generates it, and the join
 of c with Cg(a, b) is skipped when a and b share a block of c, since then
 Cg(a, b) <= c.
 Monolith, SI and FSI are one scan of the interval above a congruence for its
-least member; on a finite algebra FSI and SI coincide.
+least member.  On a finite algebra FSI and SI coincide: theta < 1 is
+meet-irreducible exactly when it has one upper cover, that is, when some
+congruence is least among those strictly above theta.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import MAX_UNIVERSE, FiniteAlgebra, SizeGuardError, guard_size
+from .core import MAX_UNIVERSE, AlgebraError, FiniteAlgebra, SizeGuardError, guard_size
 from .partitions import Partition
 
 
@@ -81,7 +83,7 @@ def _principals(alg: FiniteAlgebra) -> np.ndarray:
 def is_congruence(alg: FiniteAlgebra, part: Partition) -> bool:
     """Every translation sends each a and the least member of its block into one block."""
     if part.size != alg.size:
-        raise ValueError("partition size does not match the algebra")
+        raise AlgebraError("partition size does not match the algebra")
     rep = np.asarray(part.rep)
     trans = _translations(alg)
     return bool(np.array_equal(rep[trans], rep[trans[:, rep]]))
@@ -92,7 +94,7 @@ def principal_congruence(alg: FiniteAlgebra, a: int, b: int) -> Partition:
     so an algebra over SIZE_GUARD elements raises SizeGuardError."""
     size = alg.size
     if not (0 <= a < size and 0 <= b < size):
-        raise ValueError(f"pair ({a},{b}) out of range")
+        raise AlgebraError(f"pair ({a},{b}) out of range")
     guard_size(size, alg.name)
     if a == b:
         return Partition.identity(size)
@@ -116,7 +118,8 @@ class CongruenceLattice(tuple):
         return self[-1]
 
     @property
-    def congruences(self) -> tuple[Partition, ...]:  # the lattice itself, for older callers
+    def congruences(self) -> tuple[Partition, ...]:
+        # the lattice itself; perfbench/workloads.py reads this name, so it stays
         return self
 
 
@@ -163,24 +166,17 @@ def monolith(lattice: CongruenceLattice) -> Partition | None:
     return _least_above(lattice, lattice.identity)
 
 
-def is_simple(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
-    return alg.size > 1 and len(lattice or congruence_lattice(alg)) == 2
+def is_simple(lattice: CongruenceLattice) -> bool:
+    """Exactly two congruences; a trivial algebra's lattice has one."""
+    return len(lattice) == 2
 
 
-def is_si(alg: FiniteAlgebra, lattice: CongruenceLattice | None = None) -> bool:
-    """Subdirectly irreducible: nontrivial with a least non-identity congruence."""
-    return monolith(lattice or congruence_lattice(alg)) is not None
+def is_si(lattice: CongruenceLattice) -> bool:
+    """Subdirectly irreducible: a least non-identity congruence exists."""
+    return monolith(lattice) is not None
 
 
 def quotient_is_si(lattice: CongruenceLattice, theta: Partition) -> bool:
     """alg/theta is SI: the congruences of alg/theta correspond to the
     congruences of alg above theta."""
     return _least_above(lattice, theta) is not None
-
-
-# Finitely subdirectly irreducible means that theta < 1 is meet-irreducible.
-# In a finite lattice that holds exactly when theta has one upper cover, that
-# is, when some congruence is least among those strictly above theta: on a
-# finite algebra FSI and SI are the same property.
-is_fsi = is_si
-quotient_is_fsi = quotient_is_si

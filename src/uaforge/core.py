@@ -398,7 +398,7 @@ def direct_product(algs, signature: Signature | None = None, name=None) -> Finit
     if not algs:
         if signature is None:
             raise AlgebraError("empty product needs an explicit signature")
-        tables = {sym: (0,) * (1**arity) for sym, arity in signature.symbols}
+        tables = {sym: (0,) for sym in signature.names()}
         return FiniteAlgebra(name or "prod()", signature, 1, tables, ("()",))
     sig = algs[0].signature
     for a in algs[1:]:
@@ -497,11 +497,6 @@ def algebra_to_dict(alg: FiniteAlgebra) -> dict:
 
 def dumps_algebra(alg: FiniteAlgebra) -> str:
     return json.dumps(algebra_to_dict(alg), sort_keys=True, indent=2) + "\n"
-
-
-def save_algebra(alg: FiniteAlgebra, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_algebra(alg))
 
 
 def algebra_from_dict(data: dict) -> FiniteAlgebra:

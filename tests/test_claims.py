@@ -10,7 +10,6 @@ from uaforge.core import AlgebraError
 from uaforge.logic import FunctionalityError
 from uaforge.claims import (
     Workspace,
-    registered_ids,
     report_dict,
     run_all,
     run_claim,
@@ -92,7 +91,7 @@ DEEP_EVIDENCE = {
 
 def test_registry_lists_every_claim():
     # registration order: the S2 group precedes the S3 group
-    assert registered_ids() == S2_IDS + S3_IDS
+    assert list(claims._REGISTRY) == S2_IDS + S3_IDS
 
 
 def test_single_claim_result_shape():
@@ -101,17 +100,17 @@ def test_single_claim_result_shape():
     assert r.status == "pass"
     assert r.statement and r.evidence
     assert r.elapsed_ms >= 0
-    d = r.to_dict()
+    d = r._asdict()
     assert set(d) == {"id", "statement", "status", "evidence", "elapsed_ms"}
     json.dumps(d)  # serializable
 
 
-def test_claim_result_to_dict_keeps_the_report_key_order():
+def test_claim_result_asdict_keeps_the_report_key_order():
     # check --json prints the keys in this order
     r = run_claim("S2.SG-EMPTY")
     keys = ["id", "statement", "status", "evidence", "elapsed_ms"]
-    assert list(r.to_dict()) == list(report_dict([r])["claims"][0]) == keys
-    assert tuple(r.to_dict().values()) == r
+    assert list(r._asdict()) == list(report_dict([r])["claims"][0]) == keys
+    assert tuple(r._asdict().values()) == r
 
 
 def test_every_claim_passes_at_n3():
@@ -159,7 +158,7 @@ def test_run_order_does_not_matter():
     forward = {r.id: (r.status, r.evidence) for r in run_all(n=3)}
     ws = Workspace()
     backward = {}
-    for cid in reversed(registered_ids()):
+    for cid in reversed(list(claims._REGISTRY)):
         r = run_claim(cid, n=3, workspace=ws)
         backward[r.id] = (r.status, r.evidence)
     assert forward == backward

@@ -36,7 +36,6 @@ from uaforge.core import (
     quotient,
     quotient_map,
     reduct,
-    save_algebra,
     sg_closure,
     subalgebra,
     term_variables,
@@ -459,7 +458,7 @@ def test_json_round_trip(tmp_path):
     assert json.loads(text) == data
     assert algebra_from_dict(data) == alg
     path = tmp_path / "alg.json"
-    save_algebra(alg, path)
+    path.write_text(dumps_algebra(alg))
     assert load_algebra(path) == alg
 
 
