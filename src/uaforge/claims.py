@@ -3,7 +3,7 @@
 Each claim binds an id to an executable check over the built-in algebras.
 S2.* claims concern the eight-element chain family and are fixed-size; S3.*
 claims concern the An/Bn family and take the atom count n as a parameter
-(default 3, n = 4 behind the deep flag; the size guard rules out n >= 5).
+(default 3, n = 4 behind the deep flag; the size guard rules out n >= 6).
 
 run_claim/run_all produce ClaimResult records carrying pass/fail, a short
 evidence string phrased with catalog element names, and wall time.

@@ -29,8 +29,8 @@ import numpy as np
 from .partitions import Partition
 
 # enumeration guard: routines that walk the subset/endomorphism search space
-# refuse universes larger than this
-SIZE_GUARD = 24
+# refuse universes larger than this, which is |A5|
+SIZE_GUARD = 33
 
 # the largest universe built at all: a product, or an algebra read from a file
 MAX_UNIVERSE = 10**6

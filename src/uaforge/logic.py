@@ -22,7 +22,8 @@ eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
 conjunction of equations into a plan on each call, evaluating terms over
 numpy arrays; other formulas go to the reference.  The branches of one call
-share its domain cuts and definition images; nothing outlives the call.
+share its domain cuts and definition images, and the variable walk and scope
+of each conjunct, which is read once per call; nothing outlives the call.
 
 An equation whose grid over the full domains has more than BATCH_LIMIT cells
 and one side ground (every variable assigned by env) is split first: t = c
@@ -40,13 +41,18 @@ domains.  A bound variable that no factor or definition mentions is settled
 once its domain is nonempty.  The others are eliminated smallest step first
 (bucket elimination): a step ands the factors that mention its variable, and
 those inside the step's grid, and projects out every variable needed nowhere
-else.  A step over BATCH_LIMIT cells is sliced along one variable, and a
-step over MAX_UNIVERSE cells per element of the universe raises
-SizeGuardError: slicing bounds the memory of a step, not its time.
+else.  A step is chosen before it is built: each candidate's grid cells are
+counted from the scopes of the factors and definitions touching its
+variable, and the candidates are built fewest cells first, ties in plan
+order, until one keeps at most BATCH_LIMIT cells.  A step over BATCH_LIMIT
+cells is sliced along one variable, and a step over MAX_UNIVERSE cells per
+element of the universe raises SizeGuardError: slicing bounds the memory of
+a step, not its time.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -299,16 +305,24 @@ def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict) -> lis
     return alternatives if len(alternatives) <= 64 else whole
 
 
-def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict) -> _Plan:
+def _walk(c, solver_vars: set, walks: dict) -> tuple:
+    """The variable walk of the conjunct c and its scope, the solver variables
+    in order of first occurrence; each conjunct is read once per call."""
+    if id(c) not in walks:
+        walk: list[int] = []
+        for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.term,):
+            _term_vars_ordered(t, walk)
+        walks[id(c)] = walk, tuple(dict.fromkeys(v for v in walk if v in solver_vars))
+    return walks[id(c)]
+
+
+def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict, walks: dict) -> _Plan:
     """The plan of one branch: its conjuncts sorted into ground checks, domain
     cuts, definitions and factors."""
     occurring: dict[int, None] = {}
     ground, unary, factors, definitions = [], [], [], {}
     for c in conjuncts:
-        walk: list[int] = []
-        for t in (c.lhs, c.rhs) if isinstance(c, Eq) else (c.term,):
-            _term_vars_ordered(t, walk)
-        scope = tuple(dict.fromkeys(v for v in walk if v in solver_vars))
+        walk, scope = _walk(c, solver_vars, walks)
         occurring.update(dict.fromkeys(scope))
         if not scope:
             ground.append(c)
@@ -330,12 +344,13 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
     if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
         return None
     solver_vars = set(f.vars) | set(kept)
+    # the walks and scopes of the conjuncts, keyed by id(): the branches share
+    # their conjunct objects and keep them alive for the call
+    walks: dict = {}
     branches: list[list] = [[]]
     for c in conjuncts:
-        alternatives, walk = [[c]], []
-        _term_vars_ordered(c.lhs, walk)
-        _term_vars_ordered(c.rhs, walk)
-        if alg.size ** len(solver_vars.intersection(walk)) > BATCH_LIMIT:
+        alternatives = [[c]]
+        if alg.size ** len(_walk(c, solver_vars, walks)[1]) > BATCH_LIMIT:
             for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
                 if term_variables(side) <= env.keys():
                     value = np.arange(alg.size) == eval_term(alg, side, env)
@@ -345,7 +360,7 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
                     break
         branches = [b + a for b in branches for a in alternatives]
     shared: dict = {}
-    return [_plan(b, kept, solver_vars, shared) for b in branches]
+    return [_plan(b, kept, solver_vars, shared, walks) for b in branches]
 
 
 def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
@@ -355,21 +370,33 @@ def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
         if t.index in env:
             return np.arange(alg.size) == env[t.index]
         return dom.get(t.index, np.ones(alg.size, dtype=bool))
-    args = (np.flatnonzero(_image(alg, a, env, dom)) for a in t.args)
+    args = [_image(alg, a, env, dom).nonzero()[0] for a in t.args]
+    if len(args) == 2:
+        args = [args[0][:, None], args[1]]
+    elif len(args) > 2:
+        args = np.ix_(*args)
     image = np.zeros(alg.size, dtype=bool)
-    image[alg.grids[t.symbol][np.ix_(*args)]] = True
+    image[alg.grids[t.symbol][tuple(args)]] = True
     return image
 
 
-def _step(x, factors, definitions, kept):
-    """The definitions and factors touching x (all when x is None) with every
-    factor over their variables, the grid variables, and the variables still
-    needed elsewhere, which the step keeps."""
+def _scope(x, factors, definitions, kept):
+    """The definitions touching x (all when x is None), and the variables of
+    the step that eliminates x: x (kept when x is None), then those of the
+    factors and definitions touching x."""
     ds = {v: d for v, d in definitions.items() if x is None or x == v or x in d[1]}
     scope = dict.fromkeys(kept if x is None else (x,))
     touching = [s for s, _c in factors if x is None or x in s]
     for vs in touching + [(v, *uses) for v, (_t, uses) in ds.items()]:
         scope.update(dict.fromkeys(vs))
+    return ds, scope
+
+
+def _step(x, factors, definitions, kept):
+    """The step that eliminates x (every variable when x is None): the
+    definitions touching x, every factor over the step's variables, the grid
+    variables, and the variables still needed elsewhere, which it keeps."""
+    ds, scope = _scope(x, factors, definitions, kept)
     fs = [fa for fa in factors if scope.keys() >= set(fa[0])]
     elsewhere = set(kept).union(
         *(s for s, _c in factors if not scope.keys() >= set(s)),
@@ -379,11 +406,34 @@ def _step(x, factors, definitions, kept):
     return fs, ds, tuple(v for v in scope if v not in ds), out
 
 
+def _next_step(alg, todo, factors, definitions, kept, values):
+    """The step to run next: of the candidates in todo (None alone when todo
+    is empty) whose step keeps at most BATCH_LIMIT cells, the one with the
+    fewest grid cells, the first in todo on ties; None when no step fits.
+    Cells are counted from the scopes, and the candidates are built in that
+    order until one fits."""
+    def cells(x):
+        ds, scope = _scope(x, factors, definitions, kept)
+        return math.prod(len(values[v]) for v in scope if v not in ds)
+
+    candidates = todo or [None]
+    for n, i in sorted((cells(x), i) for i, x in enumerate(candidates)):
+        step = _step(candidates[i], factors, definitions, kept)
+        if alg.size ** len(step[3]) <= BATCH_LIMIT:
+            if n > MAX_UNIVERSE * alg.size:  # slicing bounds memory, not time
+                raise SizeGuardError(
+                    f"{alg.name}: a solver step over {n} cells is over the limit of "
+                    f"{MAX_UNIVERSE * alg.size}"
+                )
+            return step
+    return None
+
+
 def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
     """Set result (over out) at each projection of a grid cell that satisfies
     the step; a grid over BATCH_LIMIT cells is cut into slices along one axis."""
     shape = tuple(len(values[v]) for v in grid)
-    if np.prod(shape, dtype=float) > BATCH_LIMIT:
+    if math.prod(shape) > BATCH_LIMIT:
         v = max(grid, key=lambda u: len(values[u]))
         for i in range(len(values[v])):
             _run_step(alg, env, fs, ds, grid, out, {**values, v: values[v][i : i + 1]}, dom, result)
@@ -412,7 +462,9 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
 
 
 def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
-    """The factor over plan.kept; None when a step's result would be over BATCH_LIMIT."""
+    """The factor over plan.kept; None when a step's result would be over
+    BATCH_LIMIT.  Each step runs as _next_step chooses it, and only the steps
+    chosen are built; a step's result becomes a factor of the next."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
@@ -441,24 +493,16 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
                 return nothing
             if image.sum() == 1:
                 del definitions[v]
-    values = {v: np.flatnonzero(d) for v, d in dom.items()}
+    values = {v: d.nonzero()[0] for v, d in dom.items()}
     # a bound variable that no factor or definition mentions has a nonempty
     # domain, so it is settled already
     linked = set().union(*(s for s, _c in factors), *((v, *d[1]) for v, d in definitions.items()))
     todo = [v for v in plan.variables if v in linked and v not in plan.kept]
     while True:
-        steps = [_step(x, factors, definitions, plan.kept) for x in todo or [None]]
-        steps = [s for s in steps if size ** len(s[3]) <= BATCH_LIMIT]
-        if not steps:
+        step = _next_step(alg, todo, factors, definitions, plan.kept, values)
+        if step is None:
             return None
-        cells = [np.prod([len(values[v]) for v in s[2]], dtype=float) for s in steps]
-        smallest = cells.index(min(cells))
-        if cells[smallest] > MAX_UNIVERSE * size:  # slicing bounds memory, not time
-            raise SizeGuardError(
-                f"{alg.name}: a solver step over {cells[smallest]:.0f} cells is over the limit of "
-                f"{MAX_UNIVERSE * size}"
-            )
-        fs, ds, grid, out = steps[smallest]
+        fs, ds, grid, out = step
         result = np.zeros((size,) * len(out), dtype=bool)
         _run_step(alg, env, fs, ds, grid, out, values, dom, result)
         if not todo:

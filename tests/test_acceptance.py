@@ -3,7 +3,8 @@
 Each test prints its verdict to the real stdout (bypassing capture) so the
 gate is readable straight off a plain pytest run.  Time limits are part of
 the criteria; the asserts fire when the work is wrong or too slow.  The last
-criterion runs the whole registry at n=4 (`check --all --deep`).
+two criteria run the whole registry at n=4 (`check --all --deep`) and at
+n=5 (`check --all --n 5`).
 """
 
 import contextlib
@@ -226,3 +227,11 @@ def test_criterion_13_deep_registry():
         res = runner.invoke(cli_main, ["check", "--all", "--deep"])
         assert res.exit_code == 0, res.output
         assert "23/23 claims passed (n=4)" in res.output
+
+
+def test_criterion_14_registry_at_n5():
+    # 4.9 s wall on 2 vCPUs when the budget was fixed, most of it the B5 build
+    with criterion(14, "cli: check --all --n 5 exits 0", 60.0):
+        res = CliRunner().invoke(cli_main, ["check", "--all", "--n", "5"])
+        assert res.exit_code == 0, res.output
+        assert "23/23 claims passed (n=5)" in res.output

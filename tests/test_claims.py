@@ -196,6 +196,7 @@ _FACT_HOMES = {
         # the automorphisms of An and Bn
         (3, dict(all_subuniverses=3, congruence_lattice=11, subalgebra=14, automorphisms=2, hs_classify=3)),
         (4, dict(all_subuniverses=3, congruence_lattice=16, subalgebra=34, automorphisms=2, hs_classify=3)),
+        (5, dict(all_subuniverses=3, congruence_lattice=25, subalgebra=108, automorphisms=2, hs_classify=3)),
     ],
 )
 def test_each_structure_fact_is_computed_once_per_tables_per_run(monkeypatch, n, distinct):

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import pickle
 import re
 from unittest import mock
@@ -16,6 +17,7 @@ from uaforge.core import (
     Apply,
     ArityError,
     Signature,
+    SizeGuardError,
     UnassignedVariableError,
     Variable,
     eval_term,
@@ -619,6 +621,102 @@ def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
     f = parse_formula("exists v u w p . v = u /\\ u = g(w) /\\ f(w, p) = x /\\ f(v, p) = y", SIG)
     assert eval_formula(alg, f, {0: 2, 1: 0})
     assert eval_exists_decomposed(alg, f, {0: 2, 1: 0})
+
+
+def _fewest_cells_of_every_step(alg, todo, factors, definitions, kept, values):
+    """The next step chosen by building every candidate: drop those that keep
+    over BATCH_LIMIT cells, then take the fewest grid cells, the first on ties."""
+    steps = [logic._step(x, factors, definitions, kept) for x in todo or [None]]
+    steps = [s for s in steps if alg.size ** len(s[3]) <= logic.BATCH_LIMIT]
+    if not steps:
+        return None
+    cells = [math.prod(len(values[v]) for v in grid) for _fs, _ds, grid, _out in steps]
+    return steps[cells.index(min(cells))]
+
+
+def _steps_run(call, choose=None):
+    """call()'s value, the (grid, out) of every step the solver ran, and the
+    number of steps built; choose, when given, picks each next step."""
+    run, seen, depth = logic._run_step, [], [0]
+
+    def spy(alg, env, fs, ds, grid, out, *rest):
+        if not depth[0]:  # a sliced step calls itself once per slice
+            seen.append((grid, out))
+        depth[0] += 1
+        try:
+            run(alg, env, fs, ds, grid, out, *rest)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(logic, "_run_step", spy), mock.patch.object(
+        logic, "_step", wraps=logic._step
+    ) as step, mock.patch.object(logic, "_next_step", choose or logic._next_step):
+        return call(), seen, step.call_count
+
+
+@given(small_algebras(), pp_formulas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_steps_are_chosen_as_by_building_every_candidate(alg, f, data):
+    env = {v: data.draw(st.integers(0, alg.size - 1)) for v in range(4)}
+    kept = tuple(data.draw(st.lists(st.integers(0, 3), max_size=2, unique=True)))
+    for limit in BATCH_LIMITS:  # at 1 most steps keep too many cells to run
+        with mock.patch.object(logic, "BATCH_LIMIT", limit):
+            def call():
+                return project_exists(alg, f, kept, env).tolist()
+
+            assert _steps_run(call)[:2] == _steps_run(call, _fewest_cells_of_every_step)[:2]
+
+
+def test_phi_3_4_builds_only_the_steps_it_runs():
+    # one x from each orbit of the atom permutations, which fix phi(3, 4)
+    a4 = catalog.build("An?n=4")
+    f = catalog.build("phi?k=3&n=4")[0]
+    group = analysis.automorphisms(a4).maps
+    for x in sorted({min(g[a] for g in group) for a in range(a4.size)}):
+        def call():
+            return project_exists(a4, f, (1,), {0: x}).tolist()
+
+        got, seen, built = _steps_run(call)
+        assert seen and (got, seen) == _steps_run(call, _fewest_cells_of_every_step)[:2]
+        assert built == len(seen)
+
+
+# f(u, v) = f(v, u) on 3 elements is one step over a grid of 9 cells
+_ONE_STEP = make_algebra("r", SIG, 3, {"f": (0, 1, 2, 2, 0, 1, 1, 1, 0), "g": (0, 1, 2), "c": (0,)})
+
+
+# the grid of every _run_step call; the last is the one-cell step over no kept variable
+@pytest.mark.parametrize("limit, grids", [(9, [9, 1]), (8, [9, 3, 3, 3, 1])])
+def test_a_step_is_sliced_only_past_the_batch_limit(limit, grids):
+    f = parse_formula("exists u v . f(u, v) = f(v, u)", SIG)
+    seen, run = [], logic._run_step
+
+    def spy(alg, env, fs, ds, grid, out, values, *rest):
+        seen.append(math.prod(len(values[v]) for v in grid))
+        run(alg, env, fs, ds, grid, out, values, *rest)
+
+    with mock.patch.object(logic, "BATCH_LIMIT", limit), mock.patch.object(logic, "_run_step", spy):
+        assert eval_exists_decomposed(_ONE_STEP, f) == eval_formula(_ONE_STEP, f)
+    assert seen == grids
+
+
+def test_a_step_over_the_work_bound_raises_with_its_cell_count():
+    f = parse_formula("exists u v . f(u, v) = f(v, u)", SIG)
+    with mock.patch.object(logic, "MAX_UNIVERSE", 3):  # 9 cells on 3 elements: at the bound
+        assert eval_exists_decomposed(_ONE_STEP, f) == eval_formula(_ONE_STEP, f)
+    with mock.patch.object(logic, "MAX_UNIVERSE", 2), pytest.raises(
+        SizeGuardError, match="a solver step over 9 cells is over the limit of 6$"
+    ):
+        eval_exists_decomposed(_ONE_STEP, f)
+    # nine bound variables in one equation on A4: 17^9 cells, counted exactly
+    a4 = catalog.build("An?n=4")
+    f = parse_formula(
+        "exists a b c d e f g h i . "
+        "join(join(join(a, b), join(c, d)), join(join(e, f), join(g, h))) = meet(i, x)",
+        HSIG,
+    )
+    with pytest.raises(SizeGuardError, match=f"over {17**9} cells is over the limit of 17000000$"):
+        eval_exists_decomposed(a4, f, {0: 0})
 
 
 # --- induced functions -------------------------------------------------------
