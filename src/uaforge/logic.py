@@ -28,26 +28,30 @@ of each conjunct, which is read once per call; nothing outlives the call.
 An equation whose grid over the full domains has more than BATCH_LIMIT cells
 and one side ground (every variable assigned by env) is split first: t = c
 becomes the membership t in {c}, and a membership t in U passes to the
-arguments of t along the preimage of U, read off the operation's grid.  A
-binary preimage that is one rectangle R x C gives memberships of both
-arguments; two rectangles give two branches, whose results are or-ed.
+arguments of t along the preimage of U, read off the operation's grid once
+per call.  A binary preimage that is one rectangle R x C gives memberships of
+both arguments; two rectangles give two branches, whose results are or-ed.
 
 An equation or membership over one bound variable cuts that variable's
 domain.  An equation v = t with v bound and not in t defines v, which is
 then computed from t instead of enumerated; a definition over more than
 BATCH_LIMIT cells whose term takes one value on the domains is a cut.  Every
 other conjunct is a boolean factor over a sparse numpy grid of its variables'
-domains.  A bound variable that no factor or definition mentions is settled
-once its domain is nonempty.  The others are eliminated smallest step first
-(bucket elimination): a step ands the factors that mention its variable, and
-those inside the step's grid, and projects out every variable needed nowhere
-else.  A step is chosen before it is built: each candidate's grid cells are
-counted from the scopes of the factors and definitions touching its
-variable, and the candidates are built fewest cells first, ties in plan
-order, until one keeps at most BATCH_LIMIT cells.  A step over BATCH_LIMIT
-cells is sliced along one variable, and a step over MAX_UNIVERSE cells per
-element of the universe raises SizeGuardError: slicing bounds the memory of
-a step, not its time.
+domains.  After the cuts, a bound variable whose domain has one value is
+ground, unless a definition defines or reads it: it takes that value and
+leaves the scope of every factor, and a factor left over no variable is
+checked once.  A bound variable that no factor or definition mentions is
+settled once its domain is nonempty.  The others are eliminated smallest
+step first (bucket elimination): a step ands the factors that mention its
+variable, and those inside the step's grid, and projects out every variable
+needed nowhere else.  A step is chosen before it is built: each candidate's
+grid cells are counted from the scopes of the factors and definitions
+touching its variable, and the candidates are built fewest cells first, ties
+in plan order, until one keeps at most BATCH_LIMIT cells.  No step runs once
+no variable, factor or definition is left.  A step over BATCH_LIMIT cells is
+sliced along one variable, and a step over MAX_UNIVERSE cells per element of
+the universe raises SizeGuardError: slicing bounds the memory of a step, not
+its time.
 """
 
 from __future__ import annotations
@@ -271,36 +275,47 @@ def _define(c: Eq, walk: list[int], scope, definitions: dict) -> bool:
     return False
 
 
-def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict) -> list[list]:
+def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict, preimages: dict) -> list:
     """t in allowed as alternatives (lists of memberships) whose disjunction is
     exact.  It passes to the argument of a unary operation, or of a binary one
     with a ground argument, along the preimage read off the grid.  A binary
     preimage with one or two distinct nonempty rows C is the union of the
     maximal rectangles R x C: memberships of the arguments in R and in C.  A
     term over at most one solver variable, any other preimage, and a split
-    into over 64 alternatives stay whole."""
+    into over 64 alternatives stay whole.  Each preimage, and the rectangles
+    of a binary one, depend only on the symbol and allowed: preimages holds
+    them for the call, so each is read once."""
     if allowed.all():
         return [[]]
     whole = [[_Member(t, allowed)]]
     if len(term_variables(t) - env.keys()) <= 1 or len(t.args) > 2:
         return whole
-    pre = allowed[alg.grids[t.symbol]]
+    key = (t.symbol, allowed.tobytes())
+    if key not in preimages:
+        preimages[key] = allowed[alg.grids[t.symbol]]
+    pre = preimages[key]
     if len(t.args) == 1:
-        return _members(alg, t.args[0], pre, env)
+        return _members(alg, t.args[0], pre, env, preimages)
     left, right = t.args
     if term_variables(left) <= env.keys():
-        return _members(alg, right, pre[eval_term(alg, left, env)], env)
+        return _members(alg, right, pre[eval_term(alg, left, env)], env, preimages)
     if term_variables(right) <= env.keys():
-        return _members(alg, left, pre[:, eval_term(alg, right, env)], env)
-    # the distinct nonempty rows, keyed by their bytes: np.unique(axis=0) imports numpy.ma
-    patterns = list({pre[r].tobytes(): pre[r] for r in np.flatnonzero(pre.any(axis=1))}.values())
-    if len(patterns) > 2:
+        return _members(alg, left, pre[:, eval_term(alg, right, env)], env, preimages)
+    key += ("rectangles",)
+    if key not in preimages:
+        # the distinct nonempty rows, keyed by their bytes: np.unique(axis=0) imports numpy.ma
+        patterns = list({pre[r].tobytes(): pre[r] for r in np.flatnonzero(pre.any(axis=1))}.values())
+        preimages[key] = None
+        if len(patterns) <= 2:
+            preimages[key] = [(pre[:, p].all(axis=1), p) for p in patterns]
+    rectangles = preimages[key]
+    if rectangles is None:
         return whole
     alternatives = [
         a + b
-        for p in patterns
-        for a in _members(alg, left, pre[:, p].all(axis=1), env)
-        for b in _members(alg, right, p, env)
+        for rows, p in rectangles
+        for a in _members(alg, left, rows, env, preimages)
+        for b in _members(alg, right, p, env, preimages)
     ]
     return alternatives if len(alternatives) <= 64 else whole
 
@@ -347,6 +362,7 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
     # the walks and scopes of the conjuncts, keyed by id(): the branches share
     # their conjunct objects and keep them alive for the call
     walks: dict = {}
+    preimages: dict = {}
     branches: list[list] = [[]]
     for c in conjuncts:
         alternatives = [[c]]
@@ -354,7 +370,7 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
             for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
                 if term_variables(side) <= env.keys():
                     value = np.arange(alg.size) == eval_term(alg, side, env)
-                    split = _members(alg, other, value, env)
+                    split = _members(alg, other, value, env, preimages)
                     if len(branches) * len(split) <= 64:
                         alternatives = split
                     break
@@ -463,8 +479,13 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
 
 def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     """The factor over plan.kept; None when a step's result would be over
-    BATCH_LIMIT.  Each step runs as _next_step chooses it, and only the steps
-    chosen are built; a step's result becomes a factor of the next."""
+    BATCH_LIMIT.  After the domain cuts and definition images, a bound
+    variable with one value is ground: it joins env and leaves the scope of
+    every factor, and a factor left over no variable is checked once.  Kept
+    variables, and those a definition defines or reads, stay.  Each step
+    then runs as _next_step chooses it, and only the steps chosen are built;
+    a step's result becomes a factor of the next.  No step runs once no
+    variable, factor, definition or kept variable is left."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
@@ -494,11 +515,19 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             if image.sum() == 1:
                 del definitions[v]
     values = {v: d.nonzero()[0] for v, d in dom.items()}
+    stay = set(plan.kept).union(*((v, *d[1]) for v, d in definitions.items()))
+    ground = {v: int(a[0]) for v, a in values.items() if len(a) == 1 and v not in stay}
+    if ground:
+        env = {**env, **ground}
+        factors = [(tuple(u for u in s if u not in ground), c) for s, c in factors]
+        if not all(_holds(alg, c, env) for s, c in factors if not s):
+            return nothing
+        factors = [fa for fa in factors if fa[0]]
     # a bound variable that no factor or definition mentions has a nonempty
     # domain, so it is settled already
     linked = set().union(*(s for s, _c in factors), *((v, *d[1]) for v, d in definitions.items()))
     todo = [v for v in plan.variables if v in linked and v not in plan.kept]
-    while True:
+    while todo or factors or definitions or plan.kept:
         step = _next_step(alg, todo, factors, definitions, plan.kept, values)
         if step is None:
             return None
@@ -514,6 +543,7 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             return nothing
         definitions = {v: d for v, d in definitions.items() if v not in ds}
         todo = [v for v in todo if v in out or v not in grid and v not in ds]
+    return ~nothing  # over no kept variable: True
 
 
 def _reference_cost(size: int, f: Formula) -> int:

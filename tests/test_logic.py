@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -349,6 +350,65 @@ def test_decomposed_agrees_with_reference_on_definitions(alg, f, data):
     assert_decomposed_agrees_at_every_limit(alg, f, {0: data.draw(st.integers(0, alg.size - 1))})
 
 
+@st.composite
+def pinned_formulas(draw):
+    """exists over two to four of the variables 0..4, which pins at least one
+    bound variable, and maybe free ones, to one value by v = t, t
+    constant-valued; an equation over the pinned bound variables, when there
+    are two or more, a definition u = t whose term reads a pinned variable
+    and up to two atoms of pp_formulas may join them, in any order."""
+    variables = range(5)
+    bound = draw(st.lists(st.sampled_from(variables), min_size=2, max_size=4, unique=True))
+    free = [v for v in variables if v not in bound]
+    pinned = draw(st.lists(st.sampled_from(bound), min_size=1, max_size=3, unique=True))
+    pinned_free = draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+    body = []
+    for v in pinned + pinned_free:
+        sides = (Variable(v), draw(terms((), 3)))
+        body.append(Eq(*(sides if draw(st.booleans()) else sides[::-1])))
+    others = [u for u in bound if u not in pinned]
+    if others and draw(st.booleans()):
+        u = draw(st.sampled_from(others))
+        leaves = [Variable(draw(st.sampled_from(pinned)))]
+        leaves += draw(st.lists(st.sampled_from([Variable(w) for w in variables if w != u]), max_size=1))
+        body.append(Eq(Variable(u), _spread(draw, leaves)))
+    if len(pinned) > 1:
+        leaves = [Variable(v) for v in draw(st.permutations(pinned))]
+        cut = draw(st.integers(1, len(leaves) - 1))
+        sides = _spread(draw, leaves[:cut]), _spread(draw, leaves[cut:])
+        # a bare variable on either side would make it a definition, not a factor
+        body.append(Eq(*(Apply("g", (t,)) if isinstance(t, Variable) else t for t in sides)))
+    body += draw(st.lists(_pp_atoms(5, tuple(free)), max_size=2))
+    return Exists(tuple(bound), And(tuple(draw(st.permutations(body)))))
+
+
+# a bound variable with one value is ground, unless it is kept or a
+# definition reads it, and a factor over ground variables only is checked
+# once: pinned kept variables, definitions reading a pinned variable and
+# factors over pinned variables, which may fail, on algebras of 1 to 4 elements
+@given(small_algebras(), pinned_formulas(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_decomposed_agrees_with_reference_on_pinned_variables(alg, f, data):
+    env = {v: data.draw(st.integers(0, alg.size - 1)) for v in range(5)}
+    assert_decomposed_agrees_at_every_limit(alg, f, env)
+    free = [v for v in range(5) if v not in f.vars]
+    kept = tuple(data.draw(st.lists(st.sampled_from(free), max_size=2, unique=True)))
+    want = _reference_projection(alg, f, kept, env)
+    for limit in BATCH_LIMITS:
+        with mock.patch.object(logic, "BATCH_LIMIT", limit):
+            assert (project_exists(alg, f, kept, env) == want).all(), f"BATCH_LIMIT = {limit}"
+
+
+def test_a_variable_a_definition_reads_is_not_ground():
+    # v0 has one value on one element, and g(v0) = v3 defines the kept v3:
+    # grounding v0 left the step over v3 with no grid, whose 0-d mask broke np.nonzero
+    alg = make_algebra("one", SIG, 1, {"f": (0,), "g": (0,), "c": (0,)})
+    f = parse_formula("exists v0 v1 v2 . c = c /\\ g(v0) = v3", SIG)  # v3:0 v0:1
+    for limit in BATCH_LIMITS:
+        with mock.patch.object(logic, "BATCH_LIMIT", limit):
+            assert project_exists(alg, f, (0,)).tolist() == [True]
+
+
 def test_decomposed_handles_vacuous_bound_variables():
     a3 = catalog.build("An?n=3")
     f = Exists((5, 6), Eq(Variable(0), Variable(0)))
@@ -383,8 +443,8 @@ def test_solver_slices_steps_over_the_batch_limit():
         seen["largest"] = max(seen["largest"], np.size(value))
         return value
 
-    def spy_members(alg, t, allowed, env):
-        alternatives = members(alg, t, allowed, env)
+    def spy_members(alg, t, allowed, env, preimages):
+        alternatives = members(alg, t, allowed, env, preimages)
         seen["split"] += 1
         seen["branched"] += len(alternatives) > 1
         return alternatives
@@ -681,12 +741,46 @@ def test_phi_3_4_builds_only_the_steps_it_runs():
         assert built == len(seen)
 
 
+def test_phi_k_4_runs_no_one_value_step_and_reads_each_preimage_once():
+    # one x from each orbit of the atom permutations, with the value of
+    # phi(k, 4) at x as y and with a non-value (the cut definitions fix every
+    # w of the k = 3 queries, which then ran a step over a 1x1x1 grid)
+    a4 = catalog.build("An?n=4")
+    group = analysis.automorphisms(a4).maps
+    alg = make_algebra(a4.name, a4.signature, a4.size, a4.tables)  # its own grids
+    one_value, reads, run_step = [], collections.Counter(), logic._run_step
+
+    def spy_step(alg, env, fs, ds, grid, out, values, *rest):
+        if all(len(values[v]) == 1 for v in grid):
+            one_value.append(grid)
+        run_step(alg, env, fs, ds, grid, out, values, *rest)
+
+    class Grids(dict):  # counts each preimage _members reads off a grid
+        def __getitem__(self, symbol):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_members":
+                reads[symbol, caller.f_locals["allowed"].tobytes()] += 1
+            return dict.__getitem__(self, symbol)
+
+    alg.__dict__["grids"] = Grids(alg.grids)
+    with mock.patch.object(logic, "_run_step", spy_step):
+        for k in (1, 2, 3):
+            f = catalog.build(f"phi?k={k}&n=4")[0]
+            for x in sorted({min(g[a] for g in group) for a in range(a4.size)}):
+                value = catalog.expected_phi_value(a4, k, x)
+                for y in (value, next(b for b in range(a4.size) if b != value)):
+                    reads.clear()
+                    assert eval_exists_decomposed(alg, f, {0: x, 1: y}) == (y == value)
+                    assert all(n == 1 for n in reads.values()), (k, x, y)
+    assert not one_value
+
+
 # f(u, v) = f(v, u) on 3 elements is one step over a grid of 9 cells
 _ONE_STEP = make_algebra("r", SIG, 3, {"f": (0, 1, 2, 2, 0, 1, 1, 1, 0), "g": (0, 1, 2), "c": (0,)})
 
 
-# the grid of every _run_step call; the last is the one-cell step over no kept variable
-@pytest.mark.parametrize("limit, grids", [(9, [9, 1]), (8, [9, 3, 3, 3, 1])])
+# the grid of every _run_step call: no step runs once the step over u and v leaves nothing
+@pytest.mark.parametrize("limit, grids", [(9, [9]), (8, [9, 3, 3, 3])])
 def test_a_step_is_sliced_only_past_the_batch_limit(limit, grids):
     f = parse_formula("exists u v . f(u, v) = f(v, u)", SIG)
     seen, run = [], logic._run_step
