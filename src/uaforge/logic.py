@@ -515,7 +515,10 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             if image.sum() == 1:
                 del definitions[v]
     values = {v: d.nonzero()[0] for v, d in dom.items()}
-    stay = set(plan.kept).union(*((v, *d[1]) for v, d in definitions.items()))
+    # the kept variables are the result's axes, and a definition's variables
+    # are read in its step: those stay in the steps even with one value
+    defining = set().union(*((v, *d[1]) for v, d in definitions.items()))
+    stay = defining.union(plan.kept)
     ground = {v: int(a[0]) for v, a in values.items() if len(a) == 1 and v not in stay}
     if ground:
         env = {**env, **ground}
@@ -525,7 +528,7 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
         factors = [fa for fa in factors if fa[0]]
     # a bound variable that no factor or definition mentions has a nonempty
     # domain, so it is settled already
-    linked = set().union(*(s for s, _c in factors), *((v, *d[1]) for v, d in definitions.items()))
+    linked = defining.union(*(s for s, _c in factors))
     todo = [v for v in plan.variables if v in linked and v not in plan.kept]
     while todo or factors or definitions or plan.kept:
         step = _next_step(alg, todo, factors, definitions, plan.kept, values)
