@@ -403,7 +403,8 @@ def test_decomposed_agrees_with_reference_on_pinned_variables(alg, f, data):
 
 def test_a_variable_a_definition_reads_is_not_ground():
     # v0 has one value on one element, and g(v0) = v3 defines the kept v3:
-    # grounding v0 left the step over v3 with no grid, whose 0-d mask broke np.nonzero
+    # grounding v0 and dropping it from the definition's reads left the step
+    # over v3 with no grid, whose 0-d mask broke np.nonzero
     alg = make_algebra("one", SIG, 1, {"f": (0,), "g": (0,), "c": (0,)})
     f = parse_formula("exists v0 v1 v2 . c = c /\\ g(v0) = v3", SIG)  # v3:0 v0:1
     for limit in BATCH_LIMITS:
