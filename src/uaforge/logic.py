@@ -20,8 +20,8 @@ nests one level deeper, and the parser refuses more than NESTING_LIMIT levels.
 
 eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
-conjunction of equations into a plan on each call, evaluating terms over
-numpy arrays; other formulas go to the reference.  The branches of one call
+conjunction of equations into blocks of plans on each call, evaluating terms
+over numpy arrays; other formulas go to the reference.  The plans of one call
 share its domain cuts and definition images, and the variable walk and scope
 of each conjunct, which is read once per call; nothing outlives the call.
 
@@ -30,28 +30,50 @@ and one side ground (every variable assigned by env) is split first: t = c
 becomes the membership t in {c}, and a membership t in U passes to the
 arguments of t along the preimage of U, read off the operation's grid once
 per call.  A binary preimage that is one rectangle R x C gives memberships of
-both arguments; two rectangles give two branches, whose results are or-ed.
+both arguments; two rectangles give two alternatives, whose results are or-ed.
+
+Conjuncts are linked through their bound variables that are neither kept nor
+defined (below).  A linked group that holds a conjunct split into two or more
+alternatives is a block, and its other variables (those its definitions
+produce, and kept ones) are its interface; the other conjuncts are the top.
+With two or more blocks, the top is solved first, over the kept and
+interface variables.  Then each block in turn ors its branches into a factor
+over its interface, with each interface variable's domain cut to the
+projection of the result so far, and that factor is and-ed into the result;
+once the result is empty no block is solved.  The result is then projected
+onto the kept variables.  This is sound because
+
+    exists V (T /\\ B1 /\\ .. /\\ Bk)
+        ==  exists W (T /\\ (exists Z1 B1) /\\ .. /\\ (exists Zk Bk))
+
+when Z1..Zk, the blocks' linking variables, are pairwise disjoint and absent
+from T, and W is the rest of V.  With fewer than two blocks, or a top over
+more than BATCH_LIMIT cells, the formula is one block whose branches are
+every combination of the alternatives.
 
 An equation or membership over one bound variable cuts that variable's
-domain.  An equation v = t with v bound and not in t defines v, which is
-then computed from t instead of enumerated; a definition over more than
-BATCH_LIMIT cells whose term takes one value on the domains is a cut.  Every
-other conjunct is a boolean factor over a sparse numpy grid of its variables'
-domains.  After the cuts, a bound variable whose domain has one value is
-ground, unless a definition defines or reads it: it takes that value and
-leaves the scope of every factor, and a factor left over no variable is
-checked once.  A bound variable that no factor or definition mentions is
-settled once its domain is nonempty.  The others are eliminated smallest
-step first (bucket elimination): a step ands the factors that mention its
-variable, and those inside the step's grid, and projects out every variable
-needed nowhere else.  A step is chosen before it is built: each candidate's
-grid cells are counted from the scopes of the factors and definitions
-touching its variable, and the candidates are built fewest cells first, ties
-in plan order, until one keeps at most BATCH_LIMIT cells.  No step runs once
-no variable, factor or definition is left.  A step over BATCH_LIMIT cells is
-sliced along one variable, and a step over MAX_UNIVERSE cells per element of
-the universe raises SizeGuardError: slicing bounds the memory of a step, not
-its time.
+domain.  An equation v = t with v bound or kept and not in t defines v,
+which is then computed from t instead of enumerated; a definition over more
+than BATCH_LIMIT cells whose term takes one value on the domains is a cut.
+Every other conjunct is a boolean factor over a sparse numpy grid of its
+variables' domains.  After the cuts, a definition whose reads have one value
+each is a one-value cut of the variable it defines, and the definition of a
+variable with one value is a factor, its term's membership in that value.
+Then a variable with one value is ground, unless a definition defines it: it
+takes that value and leaves the scope of every factor and definition, a
+factor left over no variable is checked once, and a kept one is fixed in the
+result.  A bound variable that no factor or definition mentions is settled
+once its domain is nonempty.  The others are eliminated smallest step first
+(bucket elimination): a step ands the factors that mention its variable, and
+those inside the step's grid, and projects out every variable needed nowhere
+else.  A step is chosen before it is built: each candidate's grid cells are
+counted from the scopes of the factors and definitions touching its
+variable, and the candidates are built fewest cells first, ties in plan
+order, until one keeps at most BATCH_LIMIT cells.  No step runs once no
+variable, factor or definition is left, nor over a grid whose every variable
+has one value.  A step over BATCH_LIMIT cells is sliced along one
+variable, and a step over MAX_UNIVERSE cells per element of the universe
+raises SizeGuardError: slicing bounds the memory of a step, not its time.
 """
 
 from __future__ import annotations
@@ -242,6 +264,7 @@ class _Plan(NamedTuple):
     factors: tuple  # (scope, conjunct)
     definitions: dict  # v -> (term, the term's scope)
     shared: dict  # the domain cuts and definition images of one call, shared by its branches
+    cuts: dict  # v -> boolean over the universe: a kept variable's domain, from the top's result
 
 
 class _Member(NamedTuple):
@@ -346,15 +369,28 @@ def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict, walks: d
         elif not (isinstance(c, Eq) and _define(c, walk, scope, definitions)):
             factors.append((scope, c))
     variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
-    return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions, shared)
+    return _Plan(
+        variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions, shared, {}
+    )
 
 
-def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Plan] | None:
-    """The plans of the branches, to be or-ed, of an existential conjunction
-    of equations; None for any other formula.  env assigns no variable of
-    kept or f.vars.  An equation over more than BATCH_LIMIT cells with a side
-    that env makes ground, of value c, becomes its other side's memberships
-    in {c} (see _members), as long as the plan keeps at most 64 branches."""
+def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tuple] | None:
+    """The blocks of an existential conjunction of equations, the top first,
+    each a pair (the variables it is kept over, the plans of its branches,
+    to be or-ed); None for any other formula.  env assigns no variable of
+    kept or f.vars.  An equation over more than BATCH_LIMIT cells with a
+    side that env makes ground, of value c, becomes its other side's
+    memberships in {c} (see _members), as long as the combinations of every
+    conjunct's alternatives stay at most 64.
+
+    Conjuncts are linked by the bound variables that are neither kept nor
+    defined (by _define, over the conjuncts in order).  A linked group
+    holding a conjunct split into two or more alternatives is a block, kept
+    over its other variables, its interface; the rest of the conjuncts are
+    the top, kept over the kept and every interface variable.  With fewer
+    than two blocks, or a top over more than BATCH_LIMIT cells, the only
+    block is the whole formula over kept, its branches every combination of
+    the alternatives."""
     conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
     if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
         return None
@@ -363,20 +399,53 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[_Pl
     # their conjunct objects and keep them alive for the call
     walks: dict = {}
     preimages: dict = {}
-    branches: list[list] = [[]]
+    shared: dict = {}
+    alternatives, branches = [], 1
     for c in conjuncts:
-        alternatives = [[c]]
+        alternatives.append([[c]])
         if alg.size ** len(_walk(c, solver_vars, walks)[1]) > BATCH_LIMIT:
             for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
                 if term_variables(side) <= env.keys():
                     value = np.arange(alg.size) == eval_term(alg, side, env)
                     split = _members(alg, other, value, env, preimages)
-                    if len(branches) * len(split) <= 64:
-                        alternatives = split
+                    if branches * len(split) <= 64:
+                        alternatives[-1] = split
                     break
-        branches = [b + a for b in branches for a in alternatives]
-    shared: dict = {}
-    return [_plan(b, kept, solver_vars, shared, walks) for b in branches]
+        branches *= len(alternatives[-1])
+
+    def plans(group, kept):
+        combinations: list[list] = [[]]
+        for i in group:
+            combinations = [b + a for b in combinations for a in alternatives[i]]
+        return kept, [_plan(b, kept, solver_vars, shared, walks) for b in combinations]
+
+    everything = range(len(conjuncts))
+    if sum(len(a) > 1 for a in alternatives) < 2:
+        return [plans(everything, kept)]
+    definitions: dict = {}
+    scopes = []
+    for c in conjuncts:
+        walk, scope = _walk(c, solver_vars, walks)
+        scopes.append(scope)
+        if len(scope) > 1:
+            _define(c, walk, scope, definitions)
+    links = set(f.vars).difference(kept, definitions)
+    groups: list[tuple[set, list]] = []  # (its linking variables, its conjuncts' indices)
+    for i, scope in enumerate(scopes):
+        own = links.intersection(scope)
+        joined = [g for g in groups if g[0] & own]
+        groups = [g for g in groups if not g[0] & own]
+        members = sorted([i, *(j for g in joined for j in g[1])])
+        groups.append((own.union(*(g[0] for g in joined)), members))
+    blocks = sorted(g for _links, g in groups if any(len(alternatives[i]) > 1 for i in g))
+    interfaces = [dict.fromkeys(v for i in g for v in scopes[i] if v not in links) for g in blocks]
+    axes = kept + tuple(dict.fromkeys(v for vs in interfaces for v in vs if v not in kept))
+    if len(blocks) < 2 or alg.size ** len(axes) > BATCH_LIMIT:
+        return [plans(everything, kept)]
+    top = [i for i in everything if not any(i in g for g in blocks)]
+    return [plans(top, axes)] + [
+        plans(g, tuple(v for v in axes if v in vs)) for g, vs in zip(blocks, interfaces)
+    ]
 
 
 def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
@@ -479,13 +548,17 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
 
 def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     """The factor over plan.kept; None when a step's result would be over
-    BATCH_LIMIT.  After the domain cuts and definition images, a bound
-    variable with one value is ground: it joins env and leaves the scope of
-    every factor, and a factor left over no variable is checked once.  Kept
-    variables, and those a definition defines or reads, stay.  Each step
-    then runs as _next_step chooses it, and only the steps chosen are built;
-    a step's result becomes a factor of the next.  No step runs once no
-    variable, factor, definition or kept variable is left."""
+    BATCH_LIMIT.  The domains start from plan.cuts.  After the domain cuts
+    and definition images, a definition whose reads have one value each is
+    a one-value cut of the variable it defines, and the definition of a
+    variable with one value is the factor t in {that value}.  Then a
+    variable with one value is ground, unless a remaining definition defines
+    it: it joins env and leaves the scope of every factor and definition, a
+    factor left over no variable is checked once, and a kept one is fixed
+    in the result.  Each
+    step then runs as _next_step chooses it, and only the steps chosen are
+    built; a step's result becomes a factor of the next.  No step runs once
+    no variable, factor, definition or kept variable is left."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
@@ -494,7 +567,7 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     # the identity of its conjunct, or of its term and the term's variables'
     # domains; the plans keep those objects alive for the call
     shared = plan.shared
-    dom = {v: np.ones(size, dtype=bool) for v in plan.variables}
+    dom = {v: np.ones(size, dtype=bool) & plan.cuts.get(v, True) for v in plan.variables}
     for v, c in plan.unary:
         if id(c) not in shared:
             shared[id(c)] = _holds(alg, c, {**env, v: np.arange(size)})
@@ -515,30 +588,48 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             if image.sum() == 1:
                 del definitions[v]
     values = {v: d.nonzero()[0] for v, d in dom.items()}
-    # the kept variables are the result's axes, and a definition's variables
-    # are read in its step: those stay in the steps even with one value
-    defining = set().union(*((v, *d[1]) for v, d in definitions.items()))
-    stay = defining.union(plan.kept)
-    ground = {v: int(a[0]) for v, a in values.items() if len(a) == 1 and v not in stay}
+    settled = True
+    while settled:  # a cut may leave another definition's reads with one value each
+        settled = False
+        for v, (t, uses) in list(definitions.items()):
+            if all(len(values[u]) == 1 for u in uses):
+                value = eval_term(alg, t, {**env, **{u: int(values[u][0]) for u in uses}})
+                if not dom[v][value]:
+                    return nothing
+                dom[v], values[v], settled = np.arange(size) == value, np.array([value]), True
+                del definitions[v]
+            elif len(values[v]) == 1:  # then t must take that value
+                factors.append((uses, _Member(t, dom[v])))
+                del definitions[v]
+    # every definition left defines a variable with two or more values and
+    # reads one; every other variable with one value is ground
+    ground = {v: int(a[0]) for v, a in values.items() if len(a) == 1 and v not in definitions}
+    kept = tuple(v for v in plan.kept if v not in ground)
     if ground:
         env = {**env, **ground}
         factors = [(tuple(u for u in s if u not in ground), c) for s, c in factors]
         if not all(_holds(alg, c, env) for s, c in factors if not s):
             return nothing
         factors = [fa for fa in factors if fa[0]]
+        definitions = {
+            v: (t, tuple(u for u in uses if u not in ground)) for v, (t, uses) in definitions.items()
+        }
     # a bound variable that no factor or definition mentions has a nonempty
     # domain, so it is settled already
+    defining = set().union(*((v, *d[1]) for v, d in definitions.items()))
     linked = defining.union(*(s for s, _c in factors))
     todo = [v for v in plan.variables if v in linked and v not in plan.kept]
-    while todo or factors or definitions or plan.kept:
-        step = _next_step(alg, todo, factors, definitions, plan.kept, values)
+    fixed = tuple(ground.get(v, slice(None)) for v in plan.kept)  # the result's cells over kept
+    while todo or factors or definitions or kept:
+        step = _next_step(alg, todo, factors, definitions, kept, values)
         if step is None:
             return None
         fs, ds, grid, out = step
         result = np.zeros((size,) * len(out), dtype=bool)
         _run_step(alg, env, fs, ds, grid, out, values, dom, result)
         if not todo:
-            return result
+            nothing[fixed] = result
+            return nothing
         factors = [fa for fa in factors if not any(fa is g for g in fs)]
         if out:
             factors.append((out, result))
@@ -546,7 +637,22 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
             return nothing
         definitions = {v: d for v, d in definitions.items() if v not in ds}
         todo = [v for v in todo if v in out or v not in grid and v not in ds]
-    return ~nothing  # over no kept variable: True
+    nothing[fixed] = True
+    return nothing
+
+
+def _either(alg: FiniteAlgebra, kept: tuple, plans: list, env: dict, cuts: dict):
+    """The or of the branches' factors over kept, whose domains start from
+    cuts; None when a branch is too big."""
+    result = np.zeros((alg.size,) * len(kept), dtype=bool)
+    for plan in plans:
+        if result.all():
+            break
+        branch = _solve(alg, plan._replace(cuts=cuts), env)
+        if branch is None:
+            return None
+        result |= branch
+    return result
 
 
 def _reference_cost(size: int, f: Formula) -> int:
@@ -562,9 +668,14 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     """Boolean array, one axis of length alg.size per kept variable, True
     where f holds; the other free variables take their values from env.
 
-    The plan is compiled on every call, and its branches share their domain
-    cuts and definition images, each computed when a branch first needs it;
-    nothing is kept across calls.  When a step's result would be over
+    The plan is compiled on every call.  With two or more blocks of split
+    conjuncts, the top is solved first over the kept and interface
+    variables, then each block, its interface cut to the projections of the
+    result so far, ands the or of its branches into that result, until it
+    is empty; otherwise the branches of the whole formula are or-ed (see the
+    module docstring).  All branches share their domain cuts and definition
+    images, each computed when a branch first needs it; nothing is kept
+    across calls.  When a step's result would be over
     BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
     other than existential conjunctions of equations, and plans that are
     still too big, go to the reference evaluator; when it would check over
@@ -580,17 +691,22 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     env = {v: a for v, a in (env or {}).items() if v not in kept and v not in bound}
     solved = tuple(v for v in kept if v not in bound)
     shape = (alg.size,) * len(kept)
-    plans = _compile(alg, f, solved, env)
-    if plans is not None:
-        result = np.zeros((alg.size,) * len(solved), dtype=bool)
-        for plan in plans:
-            if result.all():
+    blocks = _compile(alg, f, solved, env)
+    if blocks is not None:
+        (over, top), *others = blocks  # over: solved, then the others' interface variables
+        result = _either(alg, over, top, env, {})
+        for interface, plans in others:
+            if result is None or not result.any():
                 break
-            branch = _solve(alg, plan, env)
-            if branch is None:
-                result = None
-                break
-            result |= branch
+            cuts = {
+                v: result.any(axis=tuple(j for j, u in enumerate(over) if u != v)) for v in interface
+            }
+            factor = _either(alg, interface, plans, env, cuts)
+            result = None if factor is None else result & factor.reshape(
+                [alg.size if v in interface else 1 for v in over]
+            )
+        if result is not None:
+            result = result.any(axis=tuple(range(len(solved), len(over))))
         if result is None and solved:  # a step over the kept variables is too big: slice
             v, rest = solved[0], solved[1:]
             slices = [project_exists(alg, f, rest, {**env, v: a}) for a in range(alg.size)]

@@ -633,10 +633,12 @@ def test_solver_steps_only_over_linked_variables(monkeypatch):
 
 
 def test_branches_of_one_call_share_their_cuts_and_images(monkeypatch):
-    # phi(3, 4) at a 3-atom x with a non-value y runs all 2^3 branches of the
-    # split cover conjuncts.  Each unary conjunct is cut at most once per
-    # call, and each w is imaged once per pair of cut domains of its block:
-    # 2k = 6 images, where every branch on its own made 3 (24 in all)
+    # phi(3, 4) at a 3-atom x with a non-value y is one top plan over w1..w3
+    # and a block of 2 branches per split cover conjunct, where the product
+    # of the blocks made 2^3 branches.  Each unary conjunct is cut at most
+    # once per call, and each w is imaged at most once per cut domain of its
+    # block's branches: at most 2k = 6 images, where every branch of the
+    # product on its own made 3 (24 in all)
     a4 = catalog.build("An?n=4")
     f = catalog.build("phi?k=3&n=4")[0]
     plans, cuts, images, depth = [], collections.Counter(), [0], [0]
@@ -668,10 +670,10 @@ def test_branches_of_one_call_share_their_cuts_and_images(monkeypatch):
         cuts.clear()
         images[0] = 0
         assert eval_exists_decomposed(a4, f, {0: x, 1: y}) == (y == value)
-        unary = {id(c) for plan in plans[-1] for _v, c in plan.unary}
+        unary = {id(c) for _kept, block in plans[-1] for plan in block for _v, c in plan.unary}
         assert unary and all(cuts[c] <= 1 for c in unary)
         if y == other:
-            assert len(plans[-1]) == 8 and images[0] == 6
+            assert [len(block) for _kept, block in plans[-1]] == [1, 2, 2, 2] and images[0] <= 6
 
 
 def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
@@ -684,6 +686,103 @@ def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
     f = parse_formula("exists v u w p . v = u /\\ u = g(w) /\\ f(w, p) = x /\\ f(v, p) = y", SIG)
     assert eval_formula(alg, f, {0: 2, 1: 0})
     assert eval_exists_decomposed(alg, f, {0: 2, 1: 0})
+
+
+@st.composite
+def block_formulas(draw):
+    """An algebra of 2 to 4 elements and a formula over the free variables 0
+    and 1: exists over two blocks (three on 3 elements), each some bound z's
+    and a w with an equation over them whose other side is over the free
+    variables, and a definition w = t(z's); a top equation ties the w's to
+    the free variables; in any order.  A block's equation has over 16
+    cells, so with its other side ground it splits at BATCH_LIMIT 1 and 16;
+    f is drawn as a table or as the join of a chain, whose preimage of an
+    element above the least is two rectangles, so that the split branches."""
+    alg = draw(small_algebras(min_size=2))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(alg.size)))
+        join = tuple(max(a, b, key=rank.__getitem__) for a in range(alg.size) for b in range(alg.size))
+        alg = make_algebra("chain", SIG, alg.size, {**alg.tables, "f": join})
+    zs, blocks = {2: (4, 2), 3: (2, 3), 4: (2, 2)}[alg.size]
+    free = terms((0, 1), 2)
+    body, ws, fresh = [], [], itertools.count(2)
+    for _m in range(draw(st.integers(2, blocks))):
+        z = [Variable(next(fresh)) for _i in range(zs)]
+        ws.append(Variable(next(fresh)))
+        body.append(Eq(_spread(draw, draw(st.permutations(z + ws[-1:]))), draw(free)))
+        reads = draw(st.lists(st.sampled_from(z), min_size=1, max_size=zs, unique=True))
+        body.append(Eq(ws[-1], _spread(draw, reads)))
+    sides = _spread(draw, draw(st.permutations(ws))), draw(free)
+    body.append(Eq(*(sides if draw(st.booleans()) else sides[::-1])))
+    return alg, Exists(tuple(range(2, next(fresh))), And(tuple(draw(st.permutations(body)))))
+
+
+def test_blocks_agree_with_reference():
+    # at BATCH_LIMIT 1 every top is too big, so the call is one block; at 16
+    # some calls solve the top and then each block, cut to the top's result
+    compile_, blocks = logic._compile, collections.Counter()
+
+    def spy(*args):
+        out = compile_(*args)
+        blocks[len(out)] += 1
+        return out
+
+    @given(block_formulas(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def check(drawn, data):
+        alg, f = drawn
+        env = {0: data.draw(st.integers(0, alg.size - 1)), 1: data.draw(st.integers(0, alg.size - 1))}
+        kept = tuple(data.draw(st.lists(st.sampled_from((0, 1)), max_size=2, unique=True)))
+        want = _reference_projection(alg, f, kept, env)
+        for limit in BATCH_LIMITS:
+            with mock.patch.object(logic, "BATCH_LIMIT", limit):
+                assert (project_exists(alg, f, kept, env) == want).all(), f"BATCH_LIMIT = {limit}"
+
+    with mock.patch.object(logic, "_compile", spy):
+        check()
+    assert blocks[1] and max(blocks) >= 3, blocks  # both paths ran: one block, and a top with 2+ blocks
+
+
+def test_a_top_over_the_batch_limit_is_solved_as_one_block(monkeypatch):
+    # phi(3, 4) with y kept: the top over y, w1, w2, w3 has 17^4 cells, over
+    # a limit of 17^3, so the call is one block of all 2^3 branches
+    a4 = catalog.build("An?n=4")
+    f = catalog.build("phi?k=3&n=4")[0]
+    compiled, compile_ = [], logic._compile
+
+    def spy(*args):
+        compiled.append(compile_(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(logic, "BATCH_LIMIT", a4.size**3)
+    monkeypatch.setattr(logic, "_compile", spy)
+    group = analysis.automorphisms(a4).maps
+    for x in sorted({min(g[a] for g in group) for a in range(a4.size)}):
+        got = np.flatnonzero(project_exists(a4, f, (1,), {0: x})).tolist()
+        assert got == [catalog.expected_phi_value(a4, 3, x)]
+    assert all([(kept, len(plans)) for kept, plans in c] == [((1,), 8)] for c in compiled)
+
+
+def test_phi_k_4_decides_every_pair_as_the_atom_count_table():
+    # every (x, y) of phi(k, 4), k = 1..3; a non-value query of phi(3, 4)
+    # solves the top, then at most the 2 branches of each of its 3 blocks
+    a4 = catalog.build("An?n=4")
+    solves, solve = [0], logic._solve
+
+    def spy(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    with mock.patch.object(logic, "_solve", spy):
+        for k in (1, 2, 3):
+            f = catalog.build(f"phi?k={k}&n=4")[0]
+            for x in range(a4.size):
+                value = catalog.expected_phi_value(a4, k, x)
+                for y in range(a4.size):
+                    solves[0] = 0
+                    assert eval_exists_decomposed(a4, f, {0: x, 1: y}) == (y == value), (k, x, y)
+                    if k == 3 and y != value:
+                        assert solves[0] <= 1 + 2 * 3, (x, y)
 
 
 def _fewest_cells_of_every_step(alg, todo, factors, definitions, kept, values):
@@ -776,6 +875,11 @@ def test_phi_k_4_runs_no_one_value_step_and_reads_each_preimage_once():
                     reads.clear()
                     assert eval_exists_decomposed(alg, f, {0: x, 1: y}) == (y == value)
                     assert all(n == 1 for n in reads.values()), (k, x, y)
+                # y kept: a w that the cuts fix, and y once every w is fixed,
+                # are one-value cuts, not steps
+                reads.clear()
+                assert np.flatnonzero(project_exists(alg, f, (1,), {0: x})).tolist() == [value]
+                assert all(n == 1 for n in reads.values()), (k, x)
     assert not one_value
 
 
