@@ -31,14 +31,20 @@ becomes the membership t in {c}, and a membership t in U passes to the
 arguments of t along the preimage of U, read off the operation's grid once
 per call.  A binary preimage that is one rectangle R x C gives memberships of
 both arguments; two rectangles give two alternatives, whose results are or-ed.
+No split is made that would take the combinations of every conjunct's
+alternatives over 64.
 
 Conjuncts are linked through their bound variables that are neither kept nor
 defined (below).  A linked group that holds a conjunct split into two or more
 alternatives is a block, and its other variables (those its definitions
 produce, and kept ones) are its interface; the other conjuncts are the top.
-With two or more blocks, the top is solved first, over the kept and
-interface variables.  Then each block in turn ors its branches into a factor
-over its interface, with each interface variable's domain cut to the
+With fewer than two split conjuncts the formula is one block.  Otherwise the
+blocks are taken in order, and a block stays apart while the top, kept over
+the kept variables and the interfaces of the blocks apart, has at most
+BATCH_LIMIT cells; a block that would push it over folds into the top, whose
+branches are then every combination of its conjuncts' alternatives.  The top
+is solved first.  Then each block apart in turn ors its branches into a
+factor over its interface, with each interface variable's domain cut to the
 projection of the result so far, and that factor is and-ed into the result;
 once the result is empty no block is solved.  The result is then projected
 onto the kept variables.  This is sound because
@@ -47,23 +53,22 @@ onto the kept variables.  This is sound because
         ==  exists W (T /\\ (exists Z1 B1) /\\ .. /\\ (exists Zk Bk))
 
 when Z1..Zk, the blocks' linking variables, are pairwise disjoint and absent
-from T, and W is the rest of V.  With fewer than two blocks, or a top over
-more than BATCH_LIMIT cells, the formula is one block whose branches are
-every combination of the alternatives.
+from T, and W is the rest of V.
 
 An equation or membership over one bound variable cuts that variable's
 domain.  An equation v = t with v bound or kept and not in t defines v,
-which is then computed from t instead of enumerated; a definition over more
-than BATCH_LIMIT cells whose term takes one value on the domains is a cut.
-Every other conjunct is a boolean factor over a sparse numpy grid of its
-variables' domains.  After the cuts, a definition whose reads have one value
-each is a one-value cut of the variable it defines, and the definition of a
-variable with one value is a factor, its term's membership in that value.
-Then a variable with one value is ground, unless a definition defines it: it
-takes that value and leaves the scope of every factor and definition, a
-factor left over no variable is checked once, and a kept one is fixed in the
-result.  A bound variable that no factor or definition mentions is settled
-once its domain is nonempty.  The others are eliminated smallest step first
+which is then computed from t instead of enumerated.  Every other conjunct is
+a boolean factor over a sparse numpy grid of its variables' domains.  After
+the cuts, the definitions are gone over until a round drops none: one over
+more than BATCH_LIMIT cells, or whose reads have one value each, cuts the
+domain of its variable to the image of its term and is dropped when that
+image is one value, and the definition of a variable left with one value
+becomes a factor, its term's membership in that value.  Then a variable with
+one value is ground, unless a definition defines it: it takes that value and
+leaves the scope of every factor and definition, a factor left over no
+variable is checked once, and a kept one is fixed in the result.  A bound
+variable that no factor or definition mentions is settled once its domain
+is nonempty.  The others are eliminated smallest step first
 (bucket elimination): a step ands the factors that mention its variable, and
 those inside the step's grid, and projects out every variable needed nowhere
 else.  A step is chosen before it is built: each candidate's grid cells are
@@ -263,8 +268,6 @@ class _Plan(NamedTuple):
     unary: tuple  # (v, conjunct): cuts the domain of v
     factors: tuple  # (scope, conjunct)
     definitions: dict  # v -> (term, the term's scope)
-    shared: dict  # the domain cuts and definition images of one call, shared by its branches
-    cuts: dict  # v -> boolean over the universe: a kept variable's domain, from the top's result
 
 
 class _Member(NamedTuple):
@@ -354,7 +357,7 @@ def _walk(c, solver_vars: set, walks: dict) -> tuple:
     return walks[id(c)]
 
 
-def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict, walks: dict) -> _Plan:
+def _plan(conjuncts: list, kept: tuple, solver_vars: set, walks: dict) -> _Plan:
     """The plan of one branch: its conjuncts sorted into ground checks, domain
     cuts, definitions and factors."""
     occurring: dict[int, None] = {}
@@ -369,28 +372,15 @@ def _plan(conjuncts: list, kept: tuple, solver_vars: set, shared: dict, walks: d
         elif not (isinstance(c, Eq) and _define(c, walk, scope, definitions)):
             factors.append((scope, c))
     variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
-    return _Plan(
-        variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions, shared, {}
-    )
+    return _Plan(variables, kept, tuple(ground), tuple(unary), tuple(factors), definitions)
 
 
 def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tuple] | None:
     """The blocks of an existential conjunction of equations, the top first,
     each a pair (the variables it is kept over, the plans of its branches,
     to be or-ed); None for any other formula.  env assigns no variable of
-    kept or f.vars.  An equation over more than BATCH_LIMIT cells with a
-    side that env makes ground, of value c, becomes its other side's
-    memberships in {c} (see _members), as long as the combinations of every
-    conjunct's alternatives stay at most 64.
-
-    Conjuncts are linked by the bound variables that are neither kept nor
-    defined (by _define, over the conjuncts in order).  A linked group
-    holding a conjunct split into two or more alternatives is a block, kept
-    over its other variables, its interface; the rest of the conjuncts are
-    the top, kept over the kept and every interface variable.  With fewer
-    than two blocks, or a top over more than BATCH_LIMIT cells, the only
-    block is the whole formula over kept, its branches every combination of
-    the alternatives."""
+    kept or f.vars.  The top is kept over kept, then the interface variables
+    of the blocks kept apart; each other block over its interface."""
     conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
     if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
         return None
@@ -399,7 +389,6 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tup
     # their conjunct objects and keep them alive for the call
     walks: dict = {}
     preimages: dict = {}
-    shared: dict = {}
     alternatives, branches = [], 1
     for c in conjuncts:
         alternatives.append([[c]])
@@ -417,7 +406,7 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tup
         combinations: list[list] = [[]]
         for i in group:
             combinations = [b + a for b in combinations for a in alternatives[i]]
-        return kept, [_plan(b, kept, solver_vars, shared, walks) for b in combinations]
+        return kept, [_plan(b, kept, solver_vars, walks) for b in combinations]
 
     everything = range(len(conjuncts))
     if sum(len(a) > 1 for a in alternatives) < 2:
@@ -438,14 +427,17 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tup
         members = sorted([i, *(j for g in joined for j in g[1])])
         groups.append((own.union(*(g[0] for g in joined)), members))
     blocks = sorted(g for _links, g in groups if any(len(alternatives[i]) > 1 for i in g))
-    interfaces = [dict.fromkeys(v for i in g for v in scopes[i] if v not in links) for g in blocks]
-    axes = kept + tuple(dict.fromkeys(v for vs in interfaces for v in vs if v not in kept))
-    if len(blocks) < 2 or alg.size ** len(axes) > BATCH_LIMIT:
-        return [plans(everything, kept)]
     top = [i for i in everything if not any(i in g for g in blocks)]
-    return [plans(top, axes)] + [
-        plans(g, tuple(v for v in axes if v in vs)) for g, vs in zip(blocks, interfaces)
-    ]
+    axes, apart = kept, []
+    for g in blocks:
+        interface = dict.fromkeys(v for i in g for v in scopes[i] if v not in links)
+        wider = axes + tuple(v for v in interface if v not in axes)
+        if alg.size ** len(wider) <= BATCH_LIMIT:
+            axes = wider
+            apart.append((g, interface))
+        else:
+            top = sorted(top + g)
+    return [plans(top, axes)] + [plans(g, tuple(v for v in axes if v in vs)) for g, vs in apart]
 
 
 def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
@@ -546,61 +538,46 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
     result[tuple(np.broadcast_to(benv[v], shape)[hit] for v in out)] = True
 
 
-def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
-    """The factor over plan.kept; None when a step's result would be over
-    BATCH_LIMIT.  The domains start from plan.cuts.  After the domain cuts
-    and definition images, a definition whose reads have one value each is
-    a one-value cut of the variable it defines, and the definition of a
-    variable with one value is the factor t in {that value}.  Then a
-    variable with one value is ground, unless a remaining definition defines
-    it: it joins env and leaves the scope of every factor and definition, a
-    factor left over no variable is checked once, and a kept one is fixed
-    in the result.  Each
-    step then runs as _next_step chooses it, and only the steps chosen are
-    built; a step's result becomes a factor of the next.  No step runs once
-    no variable, factor, definition or kept variable is left."""
+def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict, cuts: dict, images: dict):
+    """The factor over plan.kept, each variable's domain starting from its
+    boolean over the universe in cuts, if any; None when a step's result
+    would be over BATCH_LIMIT cells.  images holds the domain cuts and
+    definition images of the call, computed when a plan first needs them."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
         return nothing
-    # each cut and image is computed when a branch first needs it, keyed by
-    # the identity of its conjunct, or of its term and the term's variables'
-    # domains; the plans keep those objects alive for the call
-    shared = plan.shared
-    dom = {v: np.ones(size, dtype=bool) & plan.cuts.get(v, True) for v in plan.variables}
+    # each cut and image is keyed by the identity of its conjunct, or of its
+    # term and the term's variables' domains; the plans keep those objects
+    # alive for the call
+    dom = {v: np.ones(size, dtype=bool) & cuts.get(v, True) for v in plan.variables}
     for v, c in plan.unary:
-        if id(c) not in shared:
-            shared[id(c)] = _holds(alg, c, {**env, v: np.arange(size)})
-        dom[v] &= shared[id(c)]
+        if id(c) not in images:
+            images[id(c)] = _holds(alg, c, {**env, v: np.arange(size)})
+        dom[v] &= images[id(c)]
         if not dom[v].any():
             return nothing
     factors, definitions = list(plan.factors), dict(plan.definitions)
-    for v, (t, uses) in plan.definitions.items():
-        if size ** len(uses) > BATCH_LIMIT:  # then one constant on the domains is a cut
-            key = (id(t), *(dom[u].tobytes() for u in uses))
-            if key not in shared:
-                shared[key] = _image(alg, t, env, dom)
-            image = shared[key]
-            # not in place: the image of a bare variable u, which shared holds, is dom[u]
-            dom[v] = dom[v] & image
-            if not dom[v].any():
-                return nothing
-            if image.sum() == 1:
-                del definitions[v]
-    values = {v: d.nonzero()[0] for v, d in dom.items()}
-    settled = True
-    while settled:  # a cut may leave another definition's reads with one value each
-        settled = False
+    dropped = True
+    while dropped:  # a dropped definition may leave another's reads with one value each
+        dropped = False
         for v, (t, uses) in list(definitions.items()):
-            if all(len(values[u]) == 1 for u in uses):
-                value = eval_term(alg, t, {**env, **{u: int(values[u][0]) for u in uses}})
-                if not dom[v][value]:
+            image = None
+            if size ** len(uses) > BATCH_LIMIT or all(dom[u].sum() == 1 for u in uses):
+                key = (id(t), *(dom[u].tobytes() for u in uses))
+                if key not in images:
+                    images[key] = _image(alg, t, env, dom)
+                image = images[key]
+                # not in place: the image of a bare variable u, which images holds, is dom[u]
+                dom[v] = dom[v] & image
+                if not dom[v].any():
                     return nothing
-                dom[v], values[v], settled = np.arange(size) == value, np.array([value]), True
+            if dom[v].sum() == 1:  # t must take v's value: a factor, unless t takes no other
+                if image is None or image.sum() > 1:
+                    factors.append((uses, _Member(t, dom[v])))
                 del definitions[v]
-            elif len(values[v]) == 1:  # then t must take that value
-                factors.append((uses, _Member(t, dom[v])))
-                del definitions[v]
+                dropped = True
+    values = {v: d.nonzero()[0] for v, d in dom.items()}
     # every definition left defines a variable with two or more values and
     # reads one; every other variable with one value is ground
     ground = {v: int(a[0]) for v, a in values.items() if len(a) == 1 and v not in definitions}
@@ -641,14 +618,14 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict):
     return nothing
 
 
-def _either(alg: FiniteAlgebra, kept: tuple, plans: list, env: dict, cuts: dict):
-    """The or of the branches' factors over kept, whose domains start from
-    cuts; None when a branch is too big."""
+def _either(alg: FiniteAlgebra, kept: tuple, plans: list, env: dict, cuts: dict, images: dict):
+    """The or of the plans' factors over kept, each solved by _solve with
+    cuts and images; None when a plan is too big."""
     result = np.zeros((alg.size,) * len(kept), dtype=bool)
     for plan in plans:
         if result.all():
             break
-        branch = _solve(alg, plan._replace(cuts=cuts), env)
+        branch = _solve(alg, plan, env, cuts, images)
         if branch is None:
             return None
         result |= branch
@@ -668,17 +645,11 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     """Boolean array, one axis of length alg.size per kept variable, True
     where f holds; the other free variables take their values from env.
 
-    The plan is compiled on every call.  With two or more blocks of split
-    conjuncts, the top is solved first over the kept and interface
-    variables, then each block, its interface cut to the projections of the
-    result so far, ands the or of its branches into that result, until it
-    is empty; otherwise the branches of the whole formula are or-ed (see the
-    module docstring).  All branches share their domain cuts and definition
-    images, each computed when a branch first needs it; nothing is kept
-    across calls.  When a step's result would be over
-    BATCH_LIMIT cells, the kept variables are fixed one at a time.  Formulas
-    other than existential conjunctions of equations, and plans that are
-    still too big, go to the reference evaluator; when it would check over
+    The blocks are compiled on every call and solved as the module
+    docstring says.  When a step's result would be over BATCH_LIMIT cells,
+    the kept variables are fixed one at a time.  Formulas other than
+    existential conjunctions of equations, and plans that are still too
+    big, go to the reference evaluator; when it would check over
     MAX_UNIVERSE equations, SizeGuardError is raised instead.  A step over
     MAX_UNIVERSE * alg.size cells raises SizeGuardError too.  A repeated
     kept variable raises ArityError before any solve.
@@ -693,15 +664,16 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     shape = (alg.size,) * len(kept)
     blocks = _compile(alg, f, solved, env)
     if blocks is not None:
+        images: dict = {}  # the call's domain cuts and definition images, for every plan
         (over, top), *others = blocks  # over: solved, then the others' interface variables
-        result = _either(alg, over, top, env, {})
+        result = _either(alg, over, top, env, {}, images)
         for interface, plans in others:
             if result is None or not result.any():
                 break
             cuts = {
                 v: result.any(axis=tuple(j for j, u in enumerate(over) if u != v)) for v in interface
             }
-            factor = _either(alg, interface, plans, env, cuts)
+            factor = _either(alg, interface, plans, env, cuts, images)
             result = None if factor is None else result & factor.reshape(
                 [alg.size if v in interface else 1 for v in over]
             )

@@ -570,8 +570,8 @@ def test_kept_variables_are_fixed_one_at_a_time_when_no_step_fits(monkeypatch):
     results = []
     solve = logic._solve
 
-    def spy_solve(alg, plan, env):
-        results.append(solve(alg, plan, env))
+    def spy_solve(alg, plan, env, cuts, images):
+        results.append(solve(alg, plan, env, cuts, images))
         return results[-1]
 
     monkeypatch.setattr(logic, "BATCH_LIMIT", 2)
@@ -718,13 +718,17 @@ def block_formulas(draw):
 
 
 def test_blocks_agree_with_reference():
-    # at BATCH_LIMIT 1 every top is too big, so the call is one block; at 16
-    # some calls solve the top and then each block, cut to the top's result
-    compile_, blocks = logic._compile, collections.Counter()
+    # at BATCH_LIMIT 1 every block folds into the top, so the call is one
+    # block; at 16 some calls keep every block apart, solving the top and then
+    # each block cut to the top's result.  A limit of the kept variables and
+    # one more keeps the first block, over its w, apart and folds the others
+    compile_, blocks, folded = logic._compile, collections.Counter(), collections.Counter()
 
     def spy(*args):
         out = compile_(*args)
         blocks[len(out)] += 1
+        # the top holds no split conjunct unless a block folded into it
+        folded[len(out) > 1 and len(out[0][1]) > 1] += 1
         return out
 
     @given(block_formulas(), st.data())
@@ -734,20 +738,24 @@ def test_blocks_agree_with_reference():
         env = {0: data.draw(st.integers(0, alg.size - 1)), 1: data.draw(st.integers(0, alg.size - 1))}
         kept = tuple(data.draw(st.lists(st.sampled_from((0, 1)), max_size=2, unique=True)))
         want = _reference_projection(alg, f, kept, env)
-        for limit in BATCH_LIMITS:
+        for limit in BATCH_LIMITS + (alg.size ** (len(kept) + 1),):
             with mock.patch.object(logic, "BATCH_LIMIT", limit):
                 assert (project_exists(alg, f, kept, env) == want).all(), f"BATCH_LIMIT = {limit}"
 
     with mock.patch.object(logic, "_compile", spy):
         check()
-    assert blocks[1] and max(blocks) >= 3, blocks  # both paths ran: one block, and a top with 2+ blocks
+    assert blocks[1] and max(blocks) >= 3, blocks  # one block, and a top with 2+ blocks apart
+    assert folded[True], folded  # a block folded while another stayed apart
 
 
-def test_a_top_over_the_batch_limit_is_solved_as_one_block(monkeypatch):
-    # phi(3, 4) with y kept: the top over y, w1, w2, w3 has 17^4 cells, over
-    # a limit of 17^3, so the call is one block of all 2^3 branches
+def test_a_block_that_would_push_the_top_over_the_batch_limit_folds_into_it(monkeypatch):
+    # phi(3, 4) with y kept: a top over y, w1, w2 and w3 would have 17^4
+    # cells, over a limit of 17^3, so the third block folds into the top,
+    # whose 2 branches are its cover conjunct's alternatives, and the first
+    # two stay apart, where one block over y would have all 2^3 branches
     a4 = catalog.build("An?n=4")
-    f = catalog.build("phi?k=3&n=4")[0]
+    f, names = catalog.build("phi?k=3&n=4")
+    index = {name: v for v, name in names.items()}
     compiled, compile_ = [], logic._compile
 
     def spy(*args):
@@ -760,7 +768,9 @@ def test_a_top_over_the_batch_limit_is_solved_as_one_block(monkeypatch):
     for x in sorted({min(g[a] for g in group) for a in range(a4.size)}):
         got = np.flatnonzero(project_exists(a4, f, (1,), {0: x})).tolist()
         assert got == [catalog.expected_phi_value(a4, 3, x)]
-    assert all([(kept, len(plans)) for kept, plans in c] == [((1,), 8)] for c in compiled)
+    y, w1, w2 = index["y"], index["w1"], index["w2"]
+    want = [((y, w1, w2), 2), ((w1,), 2), ((w2,), 2)]
+    assert compiled and all([(kept, len(plans)) for kept, plans in c] == want for c in compiled)
 
 
 def test_phi_k_4_decides_every_pair_as_the_atom_count_table():
