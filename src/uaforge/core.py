@@ -122,6 +122,7 @@ class Signature:
 @dataclass(frozen=True)
 class Variable:
     index: int
+    _shape = "_"  # not a field: the shape of every variable (see Apply)
 
     def __post_init__(self):
         if self.index < 0:
@@ -134,12 +135,14 @@ class Apply:
     args: tuple = ()
 
     def __post_init__(self):
-        # the variable indices left to right, repeats kept, and their set, read
-        # off the arguments' own; not fields, so equality, hashing and repr
-        # still see only the symbol and the arguments
+        # the variable indices left to right, repeats kept, and their set, and
+        # the shape, the term with its symbols quoted and its variables erased
+        # to _: read off the arguments' own, and not fields, so equality,
+        # hashing and repr still see only the symbol and the arguments
         walk = tuple(i for a in self.args for i in (a._walk if isinstance(a, Apply) else (a.index,)))
         object.__setattr__(self, "_walk", walk)
         object.__setattr__(self, "_variables", frozenset(walk))
+        object.__setattr__(self, "_shape", f"{self.symbol!r}({','.join(a._shape for a in self.args)})")
 
 
 Term = Variable | Apply

@@ -22,32 +22,40 @@ eval_formula is the reference evaluator: quantifiers are nested loops.  The
 pp solver (project_exists, eval_exists_decomposed) compiles an existential
 conjunction of equations into blocks of plans on each call, evaluating terms
 over numpy arrays; other formulas go to the reference.  The plans of one call
-share its domain cuts and definition images, and the variable walk and scope
-of each conjunct, which is read once per call; nothing outlives the call.
+share one memo, and nothing outlives the call.  Its keys are tagged by kind.
+A cut's is its conjunct's shape with its variable erased and the values of
+the others, so that conjuncts equal up to renaming that variable share it, or
+the conjunct's id when env misses one; a membership of a bare variable is its
+own cut.  An operation image's is its symbol and its arguments' images, and a
+definition image's its term's id and its variables' domains.  Every plan the
+call builds is kept until the call ends: a freed conjunct's id could be
+reused by a later block's, which would read the freed one's cut, or its walk
+and scope, which are read once per call too.
 
 An equation whose grid over the full domains has more than BATCH_LIMIT cells
-and one side ground (every variable assigned by env) is split first: t = c
-becomes the membership t in {c}, and a membership t in U passes to the
-arguments of t along the preimage of U, read off the operation's grid once
-per call.  A binary preimage that is one rectangle R x C gives memberships of
-both arguments; two rectangles give two alternatives, whose results are or-ed.
-No split is made that would take the combinations of every conjunct's
-alternatives over 64.
+and one side ground (every variable assigned by env) is split: t = c becomes
+the membership t in {c}, and a membership t in U passes to the arguments of
+t along the preimage of U, read off the operation's grid once per call.  A
+binary preimage that is one rectangle R x C gives memberships of both
+arguments; two rectangles give two alternatives, whose results are or-ed.  No
+split is made that would take the combinations of the alternatives of the
+top or block holding it over 64.
 
 Conjuncts are linked through their bound variables that are neither kept nor
-defined (below).  A linked group that holds a conjunct split into two or more
-alternatives is a block, and its other variables (those its definitions
-produce, and kept ones) are its interface; the other conjuncts are the top.
-With fewer than two split conjuncts the formula is one block.  Otherwise the
-blocks are taken in order, and a block stays apart while the top, kept over
-the kept variables and the interfaces of the blocks apart, has at most
-BATCH_LIMIT cells; a block that would push it over folds into the top, whose
-branches are then every combination of its conjuncts' alternatives.  The top
-is solved first.  Then each block apart in turn ors its branches into a
-factor over its interface, with each interface variable's domain cut to the
-projection of the result so far, and that factor is and-ed into the result;
-once the result is empty no block is solved.  The result is then projected
-onto the kept variables.  This is sound because
+defined (below).  A linked group that holds a conjunct to split is a block,
+and its other variables (those its definitions produce, and kept ones) are
+its interface; the other conjuncts are the top.  With fewer than two
+conjuncts to split the formula is one block.  Otherwise the blocks are taken
+in order, and a block stays apart while the top, kept over the kept
+variables and the interfaces of the blocks apart, has at most BATCH_LIMIT
+cells; a block that would push it over folds into the top, whose branches
+are then every combination of its conjuncts' alternatives.  The top is split,
+planned and solved first.  Then each block apart in turn is split and
+planned, and ors its branches into a factor over its interface, with each
+interface variable's domain cut to the projection of the result so far, and
+that factor is and-ed into the result; once the result is empty no block is
+split.  The result is then projected onto the kept variables.  This is sound
+because
 
     exists V (T /\\ B1 /\\ .. /\\ Bk)
         ==  exists W (T /\\ (exists Z1 B1) /\\ .. /\\ (exists Zk Bk))
@@ -265,7 +273,7 @@ class _Plan(NamedTuple):
     variables: tuple  # the bound variables that occur, then the kept ones
     kept: tuple
     ground: tuple  # conjuncts over free variables only
-    unary: tuple  # (v, conjunct): cuts the domain of v
+    unary: tuple  # (v, conjunct, its key in the call's memo): cuts the domain of v
     factors: tuple  # (scope, conjunct)
     definitions: dict  # v -> (term, the term's scope)
 
@@ -311,12 +319,12 @@ def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict, preima
     into over 64 alternatives stay whole.  Each preimage, and the rectangles
     of a binary one, depend only on the symbol and allowed: preimages holds
     them for the call, so each is read once."""
-    if allowed.all():
+    data = allowed.tobytes()
+    if b"\0" not in data:  # every value is allowed
         return [[]]
-    whole = [[_Member(t, allowed)]]
-    if len(term_variables(t) - env.keys()) <= 1 or len(t.args) > 2:
-        return whole
-    key = (t.symbol, allowed.tobytes())
+    if isinstance(t, Variable) or len(t.args) > 2 or len(t._variables - env.keys()) <= 1:
+        return [[_Member(t, allowed)]]
+    key = (t.symbol, data)
     if key not in preimages:
         preimages[key] = allowed[alg.grids[t.symbol]]
     pre = preimages[key]
@@ -329,21 +337,21 @@ def _members(alg: FiniteAlgebra, t: Term, allowed: np.ndarray, env: dict, preima
         return _members(alg, left, pre[:, eval_term(alg, right, env)], env, preimages)
     key += ("rectangles",)
     if key not in preimages:
-        # the distinct nonempty rows, keyed by their bytes: np.unique(axis=0) imports numpy.ma
-        patterns = list({pre[r].tobytes(): pre[r] for r in np.flatnonzero(pre.any(axis=1))}.values())
+        # the distinct nonempty rows, by their bytes: np.unique(axis=0) imports numpy.ma
+        cells, n = pre.tobytes(), alg.size
+        distinct = {cells[r * n : r * n + n]: r for r in range(n)}  # a row of each pattern
+        patterns = [pre[r] for row, r in distinct.items() if b"\1" in row]
         preimages[key] = None
         if len(patterns) <= 2:
             preimages[key] = [(pre[:, p].all(axis=1), p) for p in patterns]
     rectangles = preimages[key]
-    if rectangles is None:
-        return whole
     alternatives = [
         a + b
-        for rows, p in rectangles
+        for rows, p in rectangles or ()
         for a in _members(alg, left, rows, env, preimages)
         for b in _members(alg, right, p, env, preimages)
     ]
-    return alternatives if len(alternatives) <= 64 else whole
+    return [[_Member(t, allowed)]] if rectangles is None or len(alternatives) > 64 else alternatives
 
 
 def _walk(c, solver_vars: set, walks: dict) -> tuple:
@@ -357,7 +365,20 @@ def _walk(c, solver_vars: set, walks: dict) -> tuple:
     return walks[id(c)]
 
 
-def _plan(conjuncts: list, kept: tuple, solver_vars: set, walks: dict) -> _Plan:
+def _cut_key(c, walk: list[int], v: int, env: dict):
+    """The memo key of the cut the unary conjunct c makes on the domain of v,
+    as the module docstring says; None for a membership of v itself."""
+    if isinstance(c, _Member) and isinstance(c.term, Variable):
+        return None
+    values = tuple(map(env.get, walk))  # None at v, and at each variable env misses
+    if values.count(None) > walk.count(v):
+        return id(c)
+    if isinstance(c, _Member):
+        return _Member, c.term._shape, c.allowed.tobytes(), values
+    return Eq, c.lhs._shape, c.rhs._shape, values
+
+
+def _plan(conjuncts: list, kept: tuple, solver_vars: set, walks: dict, env: dict) -> _Plan:
     """The plan of one branch: its conjuncts sorted into ground checks, domain
     cuts, definitions and factors."""
     occurring: dict[int, None] = {}
@@ -368,7 +389,7 @@ def _plan(conjuncts: list, kept: tuple, solver_vars: set, walks: dict) -> _Plan:
         if not scope:
             ground.append(c)
         elif len(scope) == 1:
-            unary.append((scope[0], c))
+            unary.append((scope[0], c, _cut_key(c, walk, scope[0], env)))
         elif not (isinstance(c, Eq) and _define(c, walk, scope, definitions)):
             factors.append((scope, c))
     variables = tuple(occurring) + tuple(v for v in kept if v not in occurring)
@@ -378,46 +399,47 @@ def _plan(conjuncts: list, kept: tuple, solver_vars: set, walks: dict) -> _Plan:
 def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tuple] | None:
     """The blocks of an existential conjunction of equations, the top first,
     each a pair (the variables it is kept over, the plans of its branches,
-    to be or-ed); None for any other formula.  env assigns no variable of
-    kept or f.vars.  The top is kept over kept, then the interface variables
-    of the blocks kept apart; each other block over its interface."""
+    to be or-ed, or for a block apart a function that splits and plans it);
+    None for any other formula.  env assigns no variable of kept or f.vars.
+    The top is kept over kept, then the interface variables of the blocks
+    apart; each of those over its interface."""
     conjuncts = _flatten_and(f.body) if isinstance(f, Exists) else []
     if not conjuncts or not all(isinstance(c, Eq) for c in conjuncts):
         return None
     solver_vars = set(f.vars) | set(kept)
-    # the walks and scopes of the conjuncts, keyed by id(): the branches share
-    # their conjunct objects and keep them alive for the call
     walks: dict = {}
     preimages: dict = {}
-    alternatives, branches = [], 1
-    for c in conjuncts:
-        alternatives.append([[c]])
-        if alg.size ** len(_walk(c, solver_vars, walks)[1]) > BATCH_LIMIT:
+    built: list = []  # every plan of the call, kept alive for the keys by id()
+    scopes = [_walk(c, solver_vars, walks)[1] for c in conjuncts]
+    split = {}  # index -> (the ground side, the other) of each conjunct to split
+    for i, c in enumerate(conjuncts):
+        if alg.size ** len(scopes[i]) > BATCH_LIMIT:
             for side, other in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
                 if term_variables(side) <= env.keys():
-                    value = np.arange(alg.size) == eval_term(alg, side, env)
-                    split = _members(alg, other, value, env, preimages)
-                    if branches * len(split) <= 64:
-                        alternatives[-1] = split
+                    split[i] = side, other
                     break
-        branches *= len(alternatives[-1])
 
     def plans(group, kept):
-        combinations: list[list] = [[]]
+        branches: list[list] = [[]]
         for i in group:
-            combinations = [b + a for b in combinations for a in alternatives[i]]
-        return kept, [_plan(b, kept, solver_vars, walks) for b in combinations]
+            alternatives = [[conjuncts[i]]]
+            if i in split:
+                side, other = split[i]
+                value = np.arange(alg.size) == eval_term(alg, side, env)
+                members = _members(alg, other, value, env, preimages)
+                if len(branches) * len(members) <= 64:
+                    alternatives = members
+            branches = [b + a for b in branches for a in alternatives]
+        built.append([_plan(b, kept, solver_vars, walks, env) for b in branches])
+        return built[-1]
 
     everything = range(len(conjuncts))
-    if sum(len(a) > 1 for a in alternatives) < 2:
-        return [plans(everything, kept)]
+    if len(split) < 2:
+        return [(kept, plans(everything, kept))]
     definitions: dict = {}
-    scopes = []
-    for c in conjuncts:
-        walk, scope = _walk(c, solver_vars, walks)
-        scopes.append(scope)
+    for c, scope in zip(conjuncts, scopes):
         if len(scope) > 1:
-            _define(c, walk, scope, definitions)
+            _define(c, _walk(c, solver_vars, walks)[0], scope, definitions)
     links = set(f.vars).difference(kept, definitions)
     groups: list[tuple[set, list]] = []  # (its linking variables, its conjuncts' indices)
     for i, scope in enumerate(scopes):
@@ -426,7 +448,7 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tup
         groups = [g for g in groups if not g[0] & own]
         members = sorted([i, *(j for g in joined for j in g[1])])
         groups.append((own.union(*(g[0] for g in joined)), members))
-    blocks = sorted(g for _links, g in groups if any(len(alternatives[i]) > 1 for i in g))
+    blocks = sorted(g for _links, g in groups if any(i in split for i in g))
     top = [i for i in everything if not any(i in g for g in blocks)]
     axes, apart = kept, []
     for g in blocks:
@@ -437,24 +459,28 @@ def _compile(alg: FiniteAlgebra, f: Formula, kept: tuple, env: dict) -> list[tup
             apart.append((g, interface))
         else:
             top = sorted(top + g)
-    return [plans(top, axes)] + [plans(g, tuple(v for v in axes if v in vs)) for g, vs in apart]
+    over = [(g, tuple(v for v in axes if v in vs)) for g, vs in apart]
+    return [(axes, plans(top, axes))] + [(vs, lambda g=g, vs=vs: plans(g, vs)) for g, vs in over]
 
 
-def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict) -> np.ndarray:
+def _image(alg: FiniteAlgebra, t: Term, env: dict, dom: dict, images: dict) -> np.ndarray:
     """A boolean over the universe that holds at every value t takes with its
-    variables in env or in their domains in dom."""
+    variables in env or in their domains in dom; images holds the call's."""
     if isinstance(t, Variable):
         if t.index in env:
             return np.arange(alg.size) == env[t.index]
-        return dom.get(t.index, np.ones(alg.size, dtype=bool))
-    args = [_image(alg, a, env, dom).nonzero()[0] for a in t.args]
-    if len(args) == 2:
-        args = [args[0][:, None], args[1]]
-    elif len(args) > 2:
-        args = np.ix_(*args)
-    image = np.zeros(alg.size, dtype=bool)
-    image[alg.grids[t.symbol][tuple(args)]] = True
-    return image
+        return dom[t.index] if t.index in dom else np.ones(alg.size, dtype=bool)
+    args = [_image(alg, a, env, dom, images) for a in t.args]
+    key = (Apply, t.symbol, *(a.tobytes() for a in args))
+    if key not in images:
+        where = [a.nonzero()[0] for a in args]
+        if len(where) == 2:
+            where = [where[0][:, None], where[1]]
+        elif len(where) > 2:
+            where = np.ix_(*where)
+        images[key] = np.zeros(alg.size, dtype=bool)
+        images[key][alg.grids[t.symbol][tuple(where)]] = True
+    return images[key]
 
 
 def _scope(x, factors, definitions, kept):
@@ -541,21 +567,21 @@ def _run_step(alg, env, fs, ds, grid, out, values, dom, result) -> None:
 def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict, cuts: dict, images: dict):
     """The factor over plan.kept, each variable's domain starting from its
     boolean over the universe in cuts, if any; None when a step's result
-    would be over BATCH_LIMIT cells.  images holds the domain cuts and
-    definition images of the call, computed when a plan first needs them."""
+    would be over BATCH_LIMIT cells.  images is the call's memo of cuts and
+    images, each computed when a plan first needs it."""
     size = alg.size
     nothing = np.zeros((size,) * len(plan.kept), dtype=bool)
     if not all(_holds(alg, c, env) for c in plan.ground):
         return nothing
-    # each cut and image is keyed by the identity of its conjunct, or of its
-    # term and the term's variables' domains; the plans keep those objects
-    # alive for the call
-    dom = {v: np.ones(size, dtype=bool) & cuts.get(v, True) for v in plan.variables}
-    for v, c in plan.unary:
-        if id(c) not in images:
-            images[id(c)] = _holds(alg, c, {**env, v: np.arange(size)})
-        dom[v] &= images[id(c)]
-        if not dom[v].any():
+    # the rows of one array, each cut copied into its own
+    dom = dict(zip(plan.variables, np.ones((len(plan.variables), size), dtype=bool)))
+    for v, cut in cuts.items():
+        dom[v][:] = cut
+    for v, c, key in plan.unary:
+        if key is not None and key not in images:
+            images[key] = _holds(alg, c, {**env, v: np.arange(size)})
+        dom[v] &= c.allowed if key is None else images[key]
+        if b"\1" not in dom[v].tobytes():  # no value is left
             return nothing
     factors, definitions = list(plan.factors), dict(plan.definitions)
     dropped = True
@@ -566,7 +592,7 @@ def _solve(alg: FiniteAlgebra, plan: _Plan, env: dict, cuts: dict, images: dict)
             if size ** len(uses) > BATCH_LIMIT or all(dom[u].sum() == 1 for u in uses):
                 key = (id(t), *(dom[u].tobytes() for u in uses))
                 if key not in images:
-                    images[key] = _image(alg, t, env, dom)
+                    images[key] = _image(alg, t, env, dom, images)
                 image = images[key]
                 # not in place: the image of a bare variable u, which images holds, is dom[u]
                 dom[v] = dom[v] & image
@@ -664,7 +690,7 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
     shape = (alg.size,) * len(kept)
     blocks = _compile(alg, f, solved, env)
     if blocks is not None:
-        images: dict = {}  # the call's domain cuts and definition images, for every plan
+        images: dict = {}  # the call's memo of cuts and images, for every plan
         (over, top), *others = blocks  # over: solved, then the others' interface variables
         result = _either(alg, over, top, env, {}, images)
         for interface, plans in others:
@@ -673,7 +699,7 @@ def project_exists(alg: FiniteAlgebra, f: Formula, kept, env=None) -> np.ndarray
             cuts = {
                 v: result.any(axis=tuple(j for j, u in enumerate(over) if u != v)) for v in interface
             }
-            factor = _either(alg, interface, plans, env, cuts, images)
+            factor = _either(alg, interface, plans(), env, cuts, images)
             result = None if factor is None else result & factor.reshape(
                 [alg.size if v in interface else 1 for v in over]
             )

@@ -633,47 +633,48 @@ def test_solver_steps_only_over_linked_variables(monkeypatch):
 
 
 def test_branches_of_one_call_share_their_cuts_and_images(monkeypatch):
-    # phi(3, 4) at a 3-atom x with a non-value y is one top plan over w1..w3
-    # and a block of 2 branches per split cover conjunct, where the product
-    # of the blocks made 2^3 branches.  Each unary conjunct is cut at most
-    # once per call, and each w is imaged at most once per cut domain of its
-    # block's branches: at most 2k = 6 images, where every branch of the
-    # product on its own made 3 (24 in all)
+    # phi(3, 4) at a 3-atom x is a top plan over w1..w3 and three blocks of 2
+    # branches, one per split cover conjunct.  A non-value y leaves nothing
+    # after block 1, so blocks 2 and 3 are never split nor planned: one
+    # outermost _members call and 1 + 2 plans, where the value splits all
+    # three and plans 1 + 3 * 2.  The 5k same-slice conjuncts are equal up to
+    # renaming their z, so they share one cut, and each w is imaged at most
+    # once per cut domain of its block's branches: at most 2k = 6 images
     a4 = catalog.build("An?n=4")
     f = catalog.build("phi?k=3&n=4")[0]
-    plans, cuts, images, depth = [], collections.Counter(), [0], [0]
-    compile_, holds, image = logic._compile, logic._holds, logic._image
+    calls, depth, cuts = collections.Counter(), collections.Counter(), [0]
+    holds = logic._holds
 
-    def spy_compile(*args):
-        plans.append(compile_(*args))
-        return plans[-1]
+    def spy(name, real):
+        def call(*args):  # _members and _image recurse through the spy: count the outermost calls
+            calls[name] += depth[name] == 0
+            depth[name] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[name] -= 1
+
+        return call
 
     def spy_holds(alg, c, env):
-        cuts[id(c)] += 1
+        cuts[0] += sys._getframe(1).f_code.co_name == "_solve"  # a cut, not a ground check
         return holds(alg, c, env)
 
-    def spy_image(*args):  # _image recurses through this spy: count the outermost calls
-        images[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return image(*args)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(logic, "_compile", spy_compile)
+    for name in ("_members", "_plan", "_image"):
+        monkeypatch.setattr(logic, name, spy(name, getattr(logic, name)))
     monkeypatch.setattr(logic, "_holds", spy_holds)
-    monkeypatch.setattr(logic, "_image", spy_image)
     x = next(a for a in range(a4.size) if atom_count(a4, a) == 3)
     value = catalog.expected_phi_value(a4, 3, x)
     other = next(b for b in range(a4.size) if atom_count(a4, b) == 3 and b != value)
-    for y in (other, value):
-        cuts.clear()
-        images[0] = 0
+    for y, members, plans in ((other, 1, 1 + 2), (value, 3, 1 + 3 * 2)):
+        calls.clear()
+        cuts[0] = 0
         assert eval_exists_decomposed(a4, f, {0: x, 1: y}) == (y == value)
-        unary = {id(c) for _kept, block in plans[-1] for plan in block for _v, c in plan.unary}
-        assert unary and all(cuts[c] <= 1 for c in unary)
-        if y == other:
-            assert [len(block) for _kept, block in plans[-1]] == [1, 2, 2, 2] and images[0] <= 6
+        assert (calls["_members"], calls["_plan"]) == (members, plans), y
+        assert cuts[0] == 1 and calls["_image"] <= 6
+    # every pair of the table, each query splitting only the blocks it reaches
+    for y in range(a4.size):
+        assert eval_exists_decomposed(a4, f, {0: x, 1: y}) == (y == value)
 
 
 def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
@@ -686,6 +687,125 @@ def test_a_shared_image_is_not_cut_by_a_later_definition(monkeypatch):
     f = parse_formula("exists v u w p . v = u /\\ u = g(w) /\\ f(w, p) = x /\\ f(v, p) = y", SIG)
     assert eval_formula(alg, f, {0: 2, 1: 0})
     assert eval_exists_decomposed(alg, f, {0: 2, 1: 0})
+
+
+def _cut_evaluations(monkeypatch):
+    """The conjuncts whose cuts _solve evaluates, in order, from now on."""
+    seen, holds = [], logic._holds
+
+    def spy(alg, c, env):
+        if sys._getframe(1).f_code.co_name == "_solve":  # a cut, not a ground check
+            seen.append(c)
+        return holds(alg, c, env)
+
+    monkeypatch.setattr(logic, "_holds", spy)
+    return seen
+
+
+def test_cuts_equal_up_to_renaming_their_variable_are_evaluated_once(monkeypatch):
+    a3 = catalog.build("An?n=3")
+    f = parse_formula(
+        "exists u v w . imp(u, x) = one /\\ imp(v, x) = one /\\ imp(w, x) = one"
+        " /\\ meet(u, meet(v, w)) = y",
+        HSIG,
+    )  # x:0 y:1
+    seen = _cut_evaluations(monkeypatch)
+    for x, y in itertools.product(range(a3.size), repeat=2):
+        seen.clear()
+        assert eval_exists_decomposed(a3, f, {0: x, 1: y}) == eval_formula(a3, f, {0: x, 1: y})
+        assert len(seen) == 1
+
+
+def test_cuts_that_differ_in_a_value_a_symbol_or_an_argument_order_are_their_own(monkeypatch):
+    # imp(u, x) and imp(v, x) share a cut; imp(x, w) swaps imp's arguments,
+    # join(q, x) has another symbol, and imp(p, y) another ground value
+    # unless y = x, when it shares the cut of imp(u, x) too
+    a3 = catalog.build("An?n=3")
+    f = parse_formula(
+        "exists u v w p q . imp(u, x) = one /\\ imp(v, x) = one /\\ imp(x, w) = one"
+        " /\\ imp(p, y) = one /\\ join(q, x) = one",
+        HSIG,
+    )  # x:0 y:1
+    seen = _cut_evaluations(monkeypatch)
+    for x, y in itertools.product(range(a3.size), repeat=2):
+        seen.clear()
+        assert eval_exists_decomposed(a3, f, {0: x, 1: y}) == eval_formula(a3, f, {0: x, 1: y})
+        assert len(seen) == (3 if x == y else 4), (x, y)
+
+
+def test_a_cut_over_a_variable_env_misses_keeps_the_identity_of_its_conjunct():
+    # meet(q, z) = z with q unassigned has no values to key by: its cut is
+    # keyed by the conjunct, and evaluating it raises as the reference does
+    q, z, u = Variable(0), Variable(1), Variable(2)
+    c, twin = Eq(Apply("meet", (q, z)), z), Eq(Apply("meet", (q, u)), u)
+    assert logic._cut_key(c, [0, 1, 1], 1, {}) == id(c)
+    assert logic._cut_key(twin, [0, 2, 2], 2, {}) == id(twin) != id(c)
+    assert logic._cut_key(c, [0, 1, 1], 1, {0: 3}) == logic._cut_key(twin, [0, 2, 2], 2, {0: 3})
+    assert logic._cut_key(c, [0, 1, 1], 1, {0: 3}) != logic._cut_key(c, [0, 1, 1], 1, {0: 2})
+    a3 = catalog.build("An?n=3")
+    f = Exists((1, 2), And((c, twin)))
+    for decide in (eval_formula, eval_exists_decomposed):
+        with pytest.raises(UnassignedVariableError):
+            decide(a3, f, {})
+
+
+def test_each_kind_of_key_in_a_call_memo_has_its_own_tag(monkeypatch):
+    # one memo per call holds the cuts, keyed by Eq or _Member and a shape,
+    # or by their conjunct's id; the definition images, led by their term's
+    # id; and the operation images, tagged Apply: no symbol, shape or id can
+    # make keys of two kinds equal
+    a4 = catalog.build("An?n=4")
+    f = catalog.build("phi?k=3&n=4")[0]
+    memos, either = [], logic._either
+
+    def spy(alg, kept, plans, env, cuts, images):
+        memos.append(images)
+        return either(alg, kept, plans, env, cuts, images)
+
+    monkeypatch.setattr(logic, "_either", spy)
+    x = next(a for a in range(a4.size) if atom_count(a4, a) == 3)
+    assert np.flatnonzero(project_exists(a4, f, (1,), {0: x})).tolist() == [
+        catalog.expected_phi_value(a4, 3, x)
+    ]
+    kinds = collections.Counter()
+    for key in (k for images in memos for k in images):
+        kind = "id" if isinstance(key, int) else "image" if isinstance(key[0], int) else key[0]
+        kinds[kind] += 1
+        if kind is Apply:  # the symbol, then the image of each argument
+            arity = a4.signature.arity(key[1])
+            assert len(key) == 2 + arity and all(len(b) == a4.size for b in key[2:])
+    assert set(kinds) == {Apply, Eq, "image"}, kinds
+
+
+@st.composite
+def renamed_cut_formulas(draw):
+    """exists over two to four bound variables, each cut by a copy of one
+    drawn equation over a placeholder and the free variables 0 and 1, the
+    placeholder renamed to the bound variable and in some copies 0 and 1
+    swapped; up to two atoms of pp_formulas may join them, in any order."""
+    template = Eq(draw(terms((0, 1, 9), 3)), draw(terms((0, 1, 9), 2)))
+    bound = tuple(range(2, 2 + draw(st.integers(2, 4))))
+
+    def renamed(t, names):
+        if isinstance(t, Variable):
+            return Variable(names.get(t.index, t.index))
+        return Apply(t.symbol, tuple(renamed(a, names) for a in t.args))
+
+    body = []
+    for b in bound:
+        names = {9: b, **({0: 1, 1: 0} if draw(st.booleans()) else {})}
+        body.append(Eq(renamed(template.lhs, names), renamed(template.rhs, names)))
+    body += draw(st.lists(_pp_atoms(2 + len(bound), (0, 1)), max_size=2))
+    return Exists(bound, And(tuple(draw(st.permutations(body)))))
+
+
+@given(small_algebras(), renamed_cut_formulas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_decomposed_agrees_with_reference_on_renamed_cuts(alg, f, data):
+    env = {v: data.draw(st.integers(0, alg.size - 1)) for v in (0, 1)}
+    assert_decomposed_agrees_at_every_limit(alg, f, env)
+    kept = tuple(data.draw(st.lists(st.sampled_from((0, 1)), max_size=2, unique=True)))
+    assert (project_exists(alg, f, kept, env) == _reference_projection(alg, f, kept, env)).all()
 
 
 @st.composite
@@ -752,25 +872,34 @@ def test_a_block_that_would_push_the_top_over_the_batch_limit_folds_into_it(monk
     # phi(3, 4) with y kept: a top over y, w1, w2 and w3 would have 17^4
     # cells, over a limit of 17^3, so the third block folds into the top,
     # whose 2 branches are its cover conjunct's alternatives, and the first
-    # two stay apart, where one block over y would have all 2^3 branches
+    # two stay apart, where one block over y would have all 2^3 branches.
+    # The blocks apart are split and planned only when they are solved
     a4 = catalog.build("An?n=4")
     f, names = catalog.build("phi?k=3&n=4")
     index = {name: v for v, name in names.items()}
-    compiled, compile_ = [], logic._compile
+    compiled, solved, compile_, either = [], [], logic._compile, logic._either
 
-    def spy(*args):
+    def spy_compile(*args):
         compiled.append(compile_(*args))
         return compiled[-1]
 
+    def spy_either(alg, kept, plans, *rest):
+        solved[-1].append((kept, len(plans)))
+        return either(alg, kept, plans, *rest)
+
     monkeypatch.setattr(logic, "BATCH_LIMIT", a4.size**3)
-    monkeypatch.setattr(logic, "_compile", spy)
+    monkeypatch.setattr(logic, "_compile", spy_compile)
+    monkeypatch.setattr(logic, "_either", spy_either)
     group = analysis.automorphisms(a4).maps
     for x in sorted({min(g[a] for g in group) for a in range(a4.size)}):
+        solved.append([])
         got = np.flatnonzero(project_exists(a4, f, (1,), {0: x})).tolist()
         assert got == [catalog.expected_phi_value(a4, 3, x)]
     y, w1, w2 = index["y"], index["w1"], index["w2"]
     want = [((y, w1, w2), 2), ((w1,), 2), ((w2,), 2)]
-    assert compiled and all([(kept, len(plans)) for kept, plans in c] == want for c in compiled)
+    assert compiled and all(len(c[0][1]) == 2 and all(callable(p) for _v, p in c[1:]) for c in compiled)
+    assert all([kept for kept, _p in c] == [kept for kept, _n in want] for c in compiled)
+    assert solved and all(s == want for s in solved)
 
 
 def test_phi_k_4_decides_every_pair_as_the_atom_count_table():

@@ -12,6 +12,7 @@ import collections
 import contextlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -57,13 +58,17 @@ def test_a_traced_structure_pass_is_ok():
 
 @contextlib.contextmanager
 def solver_calls():
-    """The outermost calls of each stage of the pp solver made in the block."""
-    counts = dict.fromkeys(("_compile", "_solve", "_run_step", "_image"), 0)
-    depth = collections.Counter()  # _run_step and _image call themselves
+    """The outermost calls of each stage of the pp solver made in the block;
+    every call of _members, and the cuts: the calls of _holds from _solve."""
+    counts = dict.fromkeys(("_compile", "_solve", "_run_step", "_image", "_members", "cuts"), 0)
+    depth = collections.Counter()  # _run_step, _image and _members call themselves
 
     def spy(name, real):
         def call(*args):
-            counts[name] += not depth[name]
+            if name == "_holds":
+                counts["cuts"] += sys._getframe(1).f_code.co_name == "_solve"
+            else:
+                counts[name] += name == "_members" or not depth[name]
             depth[name] += 1
             try:
                 return real(*args)
@@ -73,7 +78,7 @@ def solver_calls():
         return call
 
     with contextlib.ExitStack() as stack:
-        for name in counts:
+        for name in ("_compile", "_solve", "_run_step", "_image", "_members", "_holds"):
             stack.enter_context(mock.patch.object(logic, name, spy(name, getattr(logic, name))))
         yield counts
 
@@ -87,7 +92,9 @@ def test_a_pp_query_pass_makes_the_pinned_solver_calls(seed):
     with solver_calls() as counts:
         rows = work.run_pass(0)
     assert all(ok for _op, ok, _detail in rows)
-    assert counts == {"_compile": 6, "_solve": 21, "_run_step": 11, "_image": 17}
+    assert counts == {
+        "_compile": 6, "_solve": 21, "_run_step": 11, "_image": 17, "_members": 322, "cuts": 8
+    }
 
 
 def test_a_registry_pass_makes_the_pinned_solver_calls():
@@ -96,4 +103,6 @@ def test_a_registry_pass_makes_the_pinned_solver_calls():
     with mock.patch.dict(catalog._memo, clear=True), solver_calls() as counts:
         rows = work.run_pass(0)
     assert all(ok for _op, ok, _detail in rows)
-    assert counts == {"_compile": 39, "_solve": 39, "_run_step": 91, "_image": 0}
+    assert counts == {
+        "_compile": 39, "_solve": 39, "_run_step": 91, "_image": 0, "_members": 0, "cuts": 10
+    }
