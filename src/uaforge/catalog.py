@@ -37,16 +37,8 @@ from .core import (
     reduct,
     subalgebra,
 )
-from .logic import (
-    And,
-    Eq,
-    Exists,
-    Formula,
-    TotalityError,
-    is_pp,
-    parse_formula,
-    _function_table,
-)
+from .formulas import And, Eq, Exists, Formula, is_pp, parse_formula
+from .logic import TotalityError, _function_table
 from .partitions import Partition
 
 HEYTING_SIGNATURE = Signature(

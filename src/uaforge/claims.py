@@ -39,7 +39,8 @@ from .congruences import (
     principal_congruence,
 )
 from .core import AlgebraError, all_subuniverses, quotient, sg_closure, subalgebra
-from .logic import eval_formula, induced_partial_function, is_pp
+from .formulas import eval_formula, is_pp
+from .logic import induced_partial_function
 from .partitions import Partition
 
 

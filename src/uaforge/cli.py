@@ -22,13 +22,8 @@ from .core import (
     load_algebra,
     sg_closure,
 )
-from .logic import (
-    FunctionalityError,
-    eval_exists_decomposed,
-    format_formula,
-    induced_partial_function,
-    parse_formula_named,
-)
+from .formulas import format_formula, parse_formula_named
+from .logic import FunctionalityError, eval_exists_decomposed, induced_partial_function
 from .partitions import Partition
 
 

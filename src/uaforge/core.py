@@ -127,6 +127,9 @@ class Variable:
     def __post_init__(self):
         if self.index < 0:
             raise AlgebraError("variable index must be non-negative")
+        # not fields, as in Apply: the walk of a variable is its index alone
+        object.__setattr__(self, "_walk", (self.index,))
+        object.__setattr__(self, "_variables", frozenset(self._walk))
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ class Apply:
         # the shape, the term with its symbols quoted and its variables erased
         # to _: read off the arguments' own, and not fields, so equality,
         # hashing and repr still see only the symbol and the arguments
-        walk = tuple(i for a in self.args for i in (a._walk if isinstance(a, Apply) else (a.index,)))
+        walk = tuple(i for a in self.args for i in a._walk)
         object.__setattr__(self, "_walk", walk)
         object.__setattr__(self, "_variables", frozenset(walk))
         object.__setattr__(self, "_shape", f"{self.symbol!r}({','.join(a._shape for a in self.args)})")
@@ -149,7 +152,7 @@ Term = Variable | Apply
 
 
 def term_variables(t: Term) -> frozenset[int]:
-    return frozenset((t.index,)) if isinstance(t, Variable) else t._variables
+    return t._variables
 
 
 # ---------------------------------------------------------------------------

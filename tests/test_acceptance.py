@@ -26,7 +26,8 @@ from uaforge.analysis import (
 from uaforge.cli import main as cli_main
 from uaforge.congruences import congruence_lattice, monolith
 from uaforge.core import SIZE_GUARD, all_subuniverses, sg_closure
-from uaforge.logic import eval_exists_decomposed, eval_formula, induced_partial_function
+from uaforge.formulas import eval_formula
+from uaforge.logic import eval_exists_decomposed, induced_partial_function
 from uaforge.partitions import Partition
 
 # the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD

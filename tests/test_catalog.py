@@ -22,22 +22,14 @@ from uaforge.core import (
     AlgebraError,
     Signature,
     SizeGuardError,
+    Variable,
     all_subuniverses,
     is_closed_subset,
     make_algebra,
     reduct,
 )
-from uaforge.logic import (
-    Eq,
-    Or,
-    Variable,
-    FunctionalityError,
-    TotalityError,
-    free_variables,
-    induced_partial_function,
-    is_pp,
-    parse_formula,
-)
+from uaforge.formulas import Eq, Or, free_variables, is_pp, parse_formula
+from uaforge.logic import FunctionalityError, TotalityError, induced_partial_function
 
 # the first atom count the size guard refuses: the smallest n with 2^n + 1 > SIZE_GUARD
 FIRST_REFUSED_N = next(n for n in itertools.count() if 2**n + 1 > SIZE_GUARD)

@@ -5,6 +5,7 @@ it does not read, and the README's library tour runs."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,19 +52,50 @@ def test_benchmark_surface_resolves():
 
 
 # the layers, lowest first; __init__.py imports none of them
-LAYERS = ("partitions", "core", "congruences", "logic", "analysis", "catalog", "claims", "cli")
+LAYERS = (
+    "partitions", "core", "congruences", "formulas", "logic", "analysis", "catalog", "claims", "cli"
+)
+
+
+def _imports(name: str) -> tuple[set, set]:
+    """The uaforge modules and the top-level outside modules that name imports."""
+    tree = ast.parse((ROOT / "src" / "uaforge" / f"{name}.py").read_text())
+    own = {
+        node.module or alias.name  # "from . import catalog" names the module itself
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    outside = {
+        (node.module if isinstance(node, ast.ImportFrom) else alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.level
+        for alias in node.names
+    }
+    return own, outside
 
 
 def test_modules_import_only_lower_layers():
     for rank, name in enumerate(LAYERS):
-        tree = ast.parse((ROOT / "src" / "uaforge" / f"{name}.py").read_text())
-        imported = {
-            node.module or alias.name  # "from . import catalog" names the module itself
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.level
-            for alias in node.names
-        }
+        imported = _imports(name)[0]
         assert imported <= set(LAYERS[:rank]), f"{name} imports {sorted(imported - set(LAYERS[:rank]))}"
+
+
+def test_formulas_imports_only_the_standard_library_and_core():
+    # the reference evaluator is the pp solver's oracle: it imports neither
+    # the solver nor numpy, and no module reads its private names
+    own, outside = _imports("formulas")
+    assert own == {"core"}
+    assert outside <= sys.stdlib_module_names, sorted(outside - sys.stdlib_module_names)
+    private = {
+        (path.name, alias.name)
+        for path in sorted((ROOT / "src" / "uaforge").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "formulas"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not private, sorted(private)
 
 
 def test_every_import_is_read():
